@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .chain import delay_fb, delay_nofb
+from .chain import SolveError, delay_fb, delay_nofb
 from .model import NetworkConfig, Scheme, SensingConfig
 from .optimize import (
     baseline_genie,
@@ -34,7 +34,7 @@ from .rates import (
     primary_outage,
     primary_service_rate_nofb,
 )
-from .simulate import SimConfig, run
+from .simulate import CapacityError, SimConfig, run
 
 __all__ = ["Experiment", "validate_config", "run_sweep", "sweep_rows", "main"]
 
@@ -420,6 +420,9 @@ def main(argv=None) -> int:
         rows = run_sweep(exp)
     except OSError as exc:
         print(f"output: {exc}", file=sys.stderr)
+        return 2
+    except (SolveError, CapacityError) as exc:
+        print(f"sweep: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if not any(row["feasible"] for row in rows):
         print("no feasible sweep point", file=sys.stderr)

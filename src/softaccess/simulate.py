@@ -24,7 +24,7 @@ import numpy as np
 from .model import AccessPolicy, NetworkConfig, Scheme
 from .rates import primary_outage, secondary_outage
 
-__all__ = ["SimConfig", "SimReport", "run", "run_traced", "estimate_pi0"]
+__all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced", "estimate_pi0"]
 
 CAP = 1 << 16  # ring buffer slots per primary queue
 CHUNK = 1 << 17
@@ -35,6 +35,10 @@ _SCHEME_ID = {
     Scheme.FEEDBACK: 1,
     Scheme.GENIE: 2,
 }
+
+
+class CapacityError(RuntimeError):
+    """A simulated primary queue outgrew its ring buffer."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,7 @@ def _run_one(kernel, rng, cfg, sim, scheme_id, a_vec, a_genie,
                    tr_rmask[t0:t0 + L], tr_sumask[t0:t0 + L],
                    tr_outcome[t0:t0 + L], tr_fb[t0:t0 + L])
         if stats[7]:
-            raise RuntimeError("primary queue exceeded the ring buffer capacity")
+            raise CapacityError("primary queue exceeded the ring buffer capacity")
         t0 += L
     return stats, arr_cnt, dep_cnt, queue
 

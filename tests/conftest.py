@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def sample_stable_params(rng: np.random.Generator, psi_max: float = 0.9,
         params = chain_params_from_rates(gamma_p, 1.0 - delta_bar, lam)
         if params.psi <= psi_max and lam < params.chi:
             return params, lam
+
+
+def load_ratio_lambda(psi: float, gamma_p: float = 0.2, delta: float = 0.75) -> float:
+    """lambda_p at which chain_params_from_rates(gamma_p, delta, lambda_p) has load ratio psi.
+
+    psi*(1-l)*chi = l*(1-chi) with chi = l*gamma_p + (1-l)*(1-delta) is the
+    quadratic a*l^2 + b*l - c = 0; this is its positive root.
+    """
+    d_bar = 1.0 - delta
+    a = (1.0 - psi) * (d_bar - gamma_p)
+    b = psi * (2.0 * d_bar - gamma_p) + (1.0 - d_bar)
+    c = psi * d_bar
+    return 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
 
 
 def sample_network(rng: np.random.Generator, n: int | None = None,

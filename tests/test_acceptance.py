@@ -20,6 +20,7 @@ from softaccess import (
     SimConfig,
     baseline_hard_decision,
     chain_params,
+    chain_params_from_rates,
     closed_form_distribution,
     default_sensing,
     default_truncation,
@@ -40,8 +41,9 @@ from softaccess import (
     sweep_rows,
     transition_matrix,
 )
+from softaccess.chain import _transition_triplets
 
-from conftest import sample_network, sample_stable_params
+from conftest import load_ratio_lambda, sample_network, sample_stable_params
 
 
 class TestCriterion1SimulatorAgreement:
@@ -89,6 +91,25 @@ class TestCriterion2ChainCrossValidation:
             P = transition_matrix(params, lam, K)
             assert np.max(np.abs(x @ P - x)) <= 1e-12
             assert abs(closed.total_mass() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("psi", [0.99, 0.995, 0.999])
+    def test_heavy_load(self, psi):
+        lam = load_ratio_lambda(psi)
+        params = chain_params_from_rates(0.2, 0.75, lam)
+        assert params.psi == pytest.approx(psi, rel=1e-12)
+        K = default_truncation(params.psi)
+        closed = closed_form_distribution(params, lam, K=K)
+        numeric = numeric_distribution(params, lam, K=K)
+        assert np.max(np.abs(closed.pi - numeric.pi)) <= 1e-9
+        assert np.max(np.abs(closed.eps - numeric.eps)) <= 1e-9
+        # x @ P from the labeled transitions: a dense P takes 8*(2K+1)^2
+        # bytes, 33 GB at psi = 0.999
+        x = np.concatenate([closed.pi, closed.eps[1:]])
+        rows, cols, vals = _transition_triplets(params, lam, K)
+        xP = np.bincount(cols, weights=x[rows] * vals, minlength=x.size)
+        assert np.max(np.abs(xP - x)) <= 1e-12
+        direct = delay_fb(params, lam)
+        assert abs(littles_law_delay(numeric, lam) - direct) / direct <= 1e-6
 
 
 class TestCriterion3LittlesLaw:

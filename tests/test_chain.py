@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from softaccess import (
+    SolveError,
     Unstable,
     chain_params,
     chain_params_from_rates,
@@ -17,9 +18,11 @@ from softaccess import (
     solve_feedback,
     transition_matrix,
 )
+from softaccess import chain
+from softaccess.chain import _transition_triplets
 from softaccess.model import AccessPolicy
 
-from conftest import sample_stable_params
+from conftest import load_ratio_lambda, sample_stable_params
 
 
 def stationary_vector(dist):
@@ -135,8 +138,28 @@ class TestNumeric:
         with pytest.raises(ValueError):
             numeric_distribution(params, lam, K=10)
 
+    def test_truncation_guard_precedes_solve(self, monkeypatch):
+        # default_truncation caps K at 1e5, where 0.9999^K is still 4.5e-5
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver reached past the truncation guard")
+
+        monkeypatch.setattr(chain, "spsolve", no_solve)
+        lam = load_ratio_lambda(0.9999)
+        params = chain_params_from_rates(0.2, 0.75, lam)
+        assert default_truncation(params.psi) == 100_000
+        with pytest.raises(ValueError, match="too small"):
+            numeric_distribution(params, lam)
+
+    def test_residual_check_raises_solve_error(self, monkeypatch):
+        # a uniform vector is not stationary, so the residual check must fire
+        monkeypatch.setattr(chain, "spsolve", lambda A, b: np.ones(b.size))
+        params = chain_params_from_rates(0.4, 0.5, 0.15)
+        with pytest.raises(SolveError, match="residual"):
+            numeric_distribution(params, 0.15, K=200)
+
     def test_power_iteration_path(self):
-        # K beyond the dense cutoff takes the sparse power-iteration branch
+        # K past 2,000 levels, beyond what a dense solve can afford: the
+        # sparse solve must cover it like any other K
         params = chain_params_from_rates(0.4, 0.5, 0.15)
         closed = closed_form_distribution(params, 0.15, K=2100)
         numeric = numeric_distribution(params, 0.15, K=2100)
@@ -162,6 +185,15 @@ class TestTransitionMatrix:
             assert P.shape == (81, 81)
             assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
             assert np.all(P >= 0.0)
+
+    def test_dense_view_of_triplets(self):
+        rng = np.random.default_rng(37)
+        for K in (2, 3, 40, 257):
+            params, lam = sample_stable_params(rng)
+            rows, cols, vals = _transition_triplets(params, lam, K)
+            dense = np.zeros((2 * K + 1, 2 * K + 1))
+            np.add.at(dense, (rows, cols), vals)
+            assert np.array_equal(transition_matrix(params, lam, K), dense)
 
     def test_truncation_validation(self):
         params = chain_params_from_rates(0.3, 0.6, 0.1)

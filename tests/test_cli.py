@@ -15,6 +15,7 @@ from softaccess import (
     sweep_rows,
     validate_config,
 )
+from softaccess import CapacityError, SolveError, cli
 from softaccess.cli import parse_schemes
 
 
@@ -234,6 +235,30 @@ class TestMain:
         assert main(["sweep", "--config", cfg, "--out",
                      str(tmp_path / "missing" / "x.csv")]) == 2
         assert "output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [
+        CapacityError("primary queue exceeded the ring buffer capacity"),
+        SolveError("stationary solve ill-conditioned: residual 1.000e-03"),
+    ])
+    def test_sweep_failure_exits_two(self, tmp_path, capsys, monkeypatch, exc):
+        def failing_sweep(exp):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sweep:") and str(exc) in err
+
+    def test_sweep_bug_keeps_traceback(self, tmp_path, monkeypatch):
+        def failing_sweep(exp):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
+        with pytest.raises(ZeroDivisionError):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
 
     def test_sweep_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.values = 0.0, 0.08, 0.16\n")
