@@ -12,7 +12,7 @@ first on odd i, so slow drift of the machine falls on both sides alike. For ever
 metric of BENCHMARK.json it records each side's median and quartiles and
 how many pairs the change won (ties count for neither), plus each run's
 correct/attempted/failed. The result goes under end_to_end[W] of
-BENCH_2.json, keeping the rest of the file.
+BENCH_3.json, keeping the rest of the file.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_2.json"
+OUT = ROOT / "BENCH_3.json"
 PAIRS = 10
 
 

@@ -2,18 +2,15 @@
 
 Configs are flat `section.key = value` text files; unknown keys and bad
 values produce (field, reason) diagnostics rather than exceptions. A
-sweep runs the per-scheme optimizer at every grid point (concurrently;
-points are independent), optionally attaches Monte Carlo estimates, and
-writes one deterministic CSV row per (sweep value, scheme) plus a small
-gnuplot script alongside.
+sweep runs the per-scheme optimizer at every grid point, optionally
+attaches Monte Carlo estimates, and writes one deterministic CSV row per
+(sweep value, scheme) plus a small gnuplot script alongside.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -269,8 +266,7 @@ def _point_rows(exp: Experiment, value: float):
             pi0 = float(pi0_nofb(cfg, sens, policy))
             delay = float(delay_nofb(cfg.lambda_p, mu_p))
         row.update(mu_s=res.objective, network_throughput=cfg.M_s * res.objective,
-                   mu_p=mu_p, delay=delay, pi0=pi0, a=policy.a,
-                   tau_star=res.tau_star)
+                   mu_p=mu_p, delay=delay, pi0=pi0, a=policy.a)
         if exp.sim is not None:
             report = run(cfg, sens, policy, exp.sim)
             row.update(mu_s_hat=report.mu_s_hat, se_mu_s=report.se_mu_s,
@@ -282,10 +278,7 @@ def _point_rows(exp: Experiment, value: float):
 
 def sweep_rows(exp: Experiment):
     """Compute all sweep rows, sorted by sweep value then scheme listing order."""
-    workers = min(len(exp.sweep_values), os.cpu_count() or 1) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(lambda v: _point_rows(exp, v), exp.sweep_values))
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for value in exp.sweep_values for row in _point_rows(exp, value)]
     order = {s.value: i for i, s in enumerate(exp.schemes)}
     rows.sort(key=lambda r: (r["sweep_value"], order[r["scheme"]]))
     return rows
@@ -302,7 +295,6 @@ def _csv_text(exp: Experiment, rows) -> str:
     header = ["sweep_value", "scheme", "feasible", "mu_s", "network_throughput",
               "mu_p", "delay", "pi0"]
     header += [f"a_{i + 1}" for i in range(n)]
-    header += ["tau_star"]
     if exp.sim is not None:
         header += ["mu_s_hat", "se_mu_s", "delay_hat", "se_delay", "pi0_hat", "seed"]
     lines = [",".join(header)]
@@ -314,13 +306,12 @@ def _csv_text(exp: Experiment, rows) -> str:
                       _fmt(row["mu_p"]), _fmt(row["delay"]), _fmt(row["pi0"])]
             a = row["a"]
             cells += [_fmt(a[i]) if i < len(a) else "" for i in range(n)]
-            cells += [_fmt(row["tau_star"])]
             if exp.sim is not None:
                 cells += [_fmt(row["mu_s_hat"]), _fmt(row["se_mu_s"]),
                           _fmt(row["delay_hat"]), _fmt(row["se_delay"]),
                           _fmt(row["pi0_hat"]), str(row["seed"])]
         else:
-            pad = 5 + n + 1 + (6 if exp.sim is not None else 0)
+            pad = 5 + n + (6 if exp.sim is not None else 0)
             cells += [""] * pad
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

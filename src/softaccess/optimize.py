@@ -1,26 +1,29 @@
 """Access-probability design for every scheme.
 
-Both design problems depend on the policy vector a only through two
-scalars: s0 = p0.a (idle sense-and-access probability, the useful one)
-and s1 = p1.a (busy sense-and-access probability, the harmful one). The
-bin value ratio p_i^0/p_i^1 is strictly decreasing in i for exponential
-bins, so every Pareto-optimal policy is a greedy prefix (1,..,1,theta,
-0,..,0) and both problems collapse to one-dimensional concave searches
-along that frontier.
+Both soft-scheme design problems depend on the policy vector a only
+through two scalars: s0 = p0.a (idle sense-and-access probability, the
+useful one) and s1 = p1.a (busy sense-and-access probability, the
+harmful one). The objective is pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1),
+and pi_0 falls as s1 grows under either scheme, so for each s1 budget b
+the best policy is the one with the most s0, up to the ALOHA stationary
+point s0 = 1/M_s. The bin value ratio p_i^0/p_i^1 is strictly decreasing
+in i for exponential bins, so that policy is a greedy prefix
+(1,..,1,theta,0,..,0), and both problems collapse to a one-dimensional
+search over b along that frontier.
 
-The feedback problem is non-convex in a; it is solved by sweeping a
-target tau over the empty-queue probability, solving the concave inner
-problem max log(s0) + (M_s-1) log(1-s0) subject to the box and an s1 cap
-implied by pi_0 >= tau, and keeping the tau whose inner solution scores
-the best true throughput. StructuredGreedy solves the inner problem in
-closed form; ProjectedGradient is the generic cross-check path.
+One frontier search serves both schemes. A scheme supplies only its
+log pi_0 as a function of b and the largest b at which its queue stays
+stable. Inside each frontier segment s0 is linear in b; a bounded Brent
+search on every segment (step tolerance 1e-13 in b), plus that segment's
+right edge, finds the optimum. The no-feedback log pi_0 is concave in b;
+the feedback one is concave only while (M_s-1)*c0 <= c1*(1-b)^M_s, with
+c0 = delta_bar*(1-lambda) - lambda and c1 = lambda*delta_bar, so the
+tests hold both schemes against a dense frontier evaluation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,7 +31,7 @@ from scipy.optimize import minimize_scalar
 from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
-    log_secondary_throughput_fb,
+    _log_aloha_factor,
     primary_outage,
     secondary_outage,
     secondary_throughput_fb,
@@ -36,12 +39,7 @@ from .rates import (
 )
 
 __all__ = [
-    "InnerMethod",
-    "OptimizerConfig",
     "OptResult",
-    "TraceEntry",
-    "InnerSolution",
-    "inner_solve",
     "solve_nofb",
     "solve_feedback",
     "baseline_hard_decision",
@@ -52,52 +50,17 @@ __all__ = [
 ]
 
 
-class InnerMethod(Enum):
-    STRUCTURED_GREEDY = "structured-greedy"
-    PROJECTED_GRADIENT = "projected-gradient"
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    nu: float = 1e-3
-    inner_tol: float = 1e-10
-    inner_method: InnerMethod = InnerMethod.STRUCTURED_GREEDY
-    grid_step: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
-        if self.inner_tol <= 0.0 or self.grid_step <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-class TraceEntry(NamedTuple):
-    tau: float
-    inner_objective: float
-    a: tuple
-    feasible: bool
-
-
-class InnerSolution(NamedTuple):
-    a: np.ndarray
-    objective: float
-    feasible: bool
-
-
 @dataclass(frozen=True)
 class OptResult:
     policy: AccessPolicy
     objective: float
-    tau_star: float | None
     feasible: bool
     iterations: int
-    solver_trace: tuple
 
 
-def _infeasible(scheme: Scheme, n: int, iterations: int = 0, trace: tuple = ()) -> OptResult:
+def _infeasible(scheme: Scheme, n: int) -> OptResult:
     policy = AccessPolicy((0.0,) * n, scheme)
-    return OptResult(policy=policy, objective=0.0, tau_star=None,
-                     feasible=False, iterations=iterations, solver_trace=trace)
+    return OptResult(policy=policy, objective=0.0, feasible=False, iterations=0)
 
 
 def _fill_budget(p0: np.ndarray, p1: np.ndarray, budget: float):
@@ -147,203 +110,58 @@ def _fill_target_s0(p0: np.ndarray, p1: np.ndarray, target: float):
     return a, s0, s1
 
 
-def _log_inner(s0: float, M_s: int) -> float:
-    if s0 <= 0.0:
-        return -math.inf
-    if s0 >= 1.0:
-        return -math.inf if M_s > 1 else 0.0
-    return math.log(s0) + (M_s - 1) * math.log1p(-s0)
+def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
+    """Best greedy-prefix policy of a soft scheme (FEEDBACK or NO_FEEDBACK).
 
-
-def _s1_cap(tau: float, lambda_p: float, delta_bar: float, M_s: int):
-    """Largest s1 compatible with pi_0 >= tau; None if vacuous, -1.0 if impossible.
-
-    pi_0 >= tau rearranges to (1-s1)^M_s >= f(tau) with
-    f(tau) = (tau - 1 + lambda)/lambda + 1/delta_bar. A nonpositive f is a
-    vacuous constraint (log of its positive part would be -inf); f > 1
-    cannot be met by any policy. lambda = 0 gives pi_0 = 1 >= tau always.
+    With w = (1-b)^M_s, the no-feedback queue has pi_0 = 1 - lambda/(delta_bar*w)
+    and needs w > lambda/delta_bar; the feedback queue has
+    pi_0 = (chi - lambda)/delta_bar with chi = lambda*delta_bar*w + (1-lambda)*delta_bar
+    and needs w > (lambda - (1-lambda)*delta_bar)/(lambda*delta_bar).
     """
-    if lambda_p == 0.0:
-        return None
-    f = (tau - 1.0 + lambda_p) / lambda_p + 1.0 / delta_bar
-    if f <= 0.0:
-        return None
-    if f > 1.0:
-        return -1.0
-    return 1.0 - f ** (1.0 / M_s)
-
-
-def _inner_greedy(p0, p1, cap, M_s: int) -> InnerSolution:
-    n = p0.size
-    if cap is not None and cap < 0.0:
-        return InnerSolution(np.zeros(n), -math.inf, False)
-    budget = float(p1.sum()) if cap is None else min(cap, float(p1.sum()))
-    if M_s == 1:
-        a, s0, _ = _fill_budget(p0, p1, budget)
-        return InnerSolution(a, _log_inner(s0, M_s), True)
-    a_t, s0_t, s1_t = _fill_target_s0(p0, p1, 1.0 / M_s)
-    if s1_t <= budget:
-        return InnerSolution(a_t, _log_inner(s0_t, M_s), True)
-    a, s0, _ = _fill_budget(p0, p1, budget)
-    return InnerSolution(a, _log_inner(s0, M_s), True)
-
-
-def _project_box_halfspace(v: np.ndarray, p1: np.ndarray, cap) -> np.ndarray:
-    """Euclidean projection onto [0,1]^n intersected with p1.a <= cap."""
-    a = np.clip(v, 0.0, 1.0)
-    if cap is None or float(p1 @ a) <= cap + 1e-15:
-        return a
-    # clip(v - mu*p1) has p1-weight decreasing in mu; bisect the multiplier
-    lo, hi = 0.0, float(np.max(v / p1)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(p1 @ np.clip(v - mid * p1, 0.0, 1.0)) > cap:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - hi * p1, 0.0, 1.0)
-
-
-def _inner_projected_gradient(p0, p1, cap, M_s: int, tol: float) -> InnerSolution:
-    n = p0.size
-    if cap is not None and cap < 0.0:
-        return InnerSolution(np.zeros(n), -math.inf, False)
-    if cap is not None and cap == 0.0:
-        return InnerSolution(np.zeros(n), -math.inf, True)
-    a = np.full(n, 0.5)
-    if cap is not None:
-        total = float(p1 @ a)
-        if total > cap:
-            a *= cap / total  # strictly feasible start
-    obj = _log_inner(float(p0 @ a), M_s)
-    step = 1.0
-    for _ in range(50_000):
-        s0 = float(p0 @ a)
-        grad = (1.0 / s0 - (M_s - 1) / (1.0 - s0)) * p0
-        cand = _project_box_halfspace(a + step * grad, p1, cap)
-        cobj = _log_inner(float(p0 @ cand), M_s)
-        while cobj < obj and step > 1e-18:
-            step *= 0.5
-            cand = _project_box_halfspace(a + step * grad, p1, cap)
-            cobj = _log_inner(float(p0 @ cand), M_s)
-        moved = float(np.max(np.abs(cand - a)))
-        gained = cobj - obj
-        a = cand
-        obj = cobj
-        step = min(step * 2.0, 1e6)
-        if moved < 1e-13 or (0.0 <= gained < tol and moved < 1e-7):
-            break
-    return InnerSolution(a, obj, True)
-
-
-def inner_solve(tau: float, cfg: NetworkConfig, sensing: SensingConfig,
-                opt: OptimizerConfig | None = None) -> InnerSolution:
-    """Solve the concave inner problem for one tau target.
-
-    Maximizes log(s0) + (M_s-1)*log(1-s0) over the box, subject to the
-    s1 cap implied by pi_0 >= tau. Returns feasible=False when no policy
-    can meet the cap for this tau.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    opt = opt or OptimizerConfig()
-    p0 = sensing.p0()
-    p1 = sensing.p1()
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
-    cap = _s1_cap(tau, cfg.lambda_p, delta_bar, cfg.M_s)
-    if opt.inner_method is InnerMethod.PROJECTED_GRADIENT:
-        return _inner_projected_gradient(p0, p1, cap, cfg.M_s, opt.inner_tol)
-    return _inner_greedy(p0, p1, cap, cfg.M_s)
-
-
-def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig,
-                   opt: OptimizerConfig | None = None) -> OptResult:
-    """Optimize the feedback-scheme policy by sweeping tau over [0, 1].
-
-    Each tau yields an inner solution; the winner is the policy with the
-    best true throughput, ties resolved to the smallest (first) tau. The
-    reported objective is the plain rates formula evaluated at the policy.
-    """
-    opt = opt or OptimizerConfig()
-    n = sensing.n
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
-    if cfg.lambda_p >= delta_bar:
-        return _infeasible(Scheme.FEEDBACK, n)
-
-    steps = int(math.floor(1.0 / opt.nu + 1e-9))
-    taus = [min(i * opt.nu, 1.0) for i in range(steps + 1)]
-    trace = []
-    best_policy = None
-    best_obj = -math.inf
-    best_tau = None
-    for tau in taus:
-        sol = inner_solve(tau, cfg, sensing, opt)
-        if not sol.feasible:
-            trace.append(TraceEntry(tau, -math.inf, (), False))
-            continue
-        policy = AccessPolicy(tuple(sol.a), Scheme.FEEDBACK)
-        trace.append(TraceEntry(tau, sol.objective, policy.a, True))
-        log_mu = log_secondary_throughput_fb(cfg, sensing, policy)
-        if isinstance(log_mu, Unstable):
-            continue
-        if log_mu > best_obj:
-            best_obj = log_mu
-            best_policy = policy
-            best_tau = tau
-    if best_policy is None:
-        return _infeasible(Scheme.FEEDBACK, n, iterations=len(taus), trace=tuple(trace))
-    objective = secondary_throughput_fb(cfg, sensing, best_policy)
-    return OptResult(policy=best_policy, objective=objective, tau_star=best_tau,
-                     feasible=True, iterations=len(taus), solver_trace=tuple(trace))
-
-
-def _nofb_log_objective(b: float, p0, p1, prefix0, prefix1, seg: int,
-                        lambda_p: float, delta_bar: float, M_s: int) -> float:
-    # s0 along the frontier is linear inside segment `seg`
-    s0 = prefix0[seg] + (b - prefix1[seg]) * (p0[seg] / p1[seg])
-    mu_p = delta_bar * (1.0 - b) ** M_s
-    if mu_p <= lambda_p:
-        return -math.inf
-    log_pi0 = math.log1p(-lambda_p / mu_p) if lambda_p > 0.0 else 0.0
-    return log_pi0 + _log_inner(s0, M_s)
-
-
-def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig,
-               opt: OptimizerConfig | None = None) -> OptResult:
-    """Optimize the no-feedback policy exactly.
-
-    The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
-    in the s1 budget along the greedy prefix frontier, so a bounded Brent
-    search per frontier segment finds the optimum to machine precision.
-    """
-    opt = opt or OptimizerConfig()
     n = sensing.n
     lam = cfg.lambda_p
+    M_s = cfg.M_s
     delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
     if lam >= delta_bar:
-        return _infeasible(Scheme.NO_FEEDBACK, n)
+        return _infeasible(scheme, n)
     p0 = sensing.p0()
     p1 = sensing.p1()
 
-    if lam == 0.0:
-        # no occupancy penalty: go straight to the unconstrained stationary point
-        target = 1.0 / cfg.M_s if cfg.M_s > 1 else float(p0.sum())
-        a, _, _ = _fill_target_s0(p0, p1, target)
-        policy = AccessPolicy(tuple(a), Scheme.NO_FEEDBACK)
-        objective = secondary_throughput_nofb(cfg, sensing, policy)
-        return OptResult(policy=policy, objective=objective, tau_star=None,
-                         feasible=True, iterations=1, solver_trace=())
+    if scheme is Scheme.FEEDBACK:
+        excess = lam - (1.0 - lam) * delta_bar
+        w_floor = excess / (lam * delta_bar) if excess > 0.0 else 0.0
+        log_delta_bar = math.log(delta_bar)
+
+        def log_pi0(b: float) -> float:
+            margin = lam * delta_bar * (1.0 - b) ** M_s + (1.0 - lam) * delta_bar - lam
+            return math.log(margin) - log_delta_bar if margin > 0.0 else -math.inf
+        throughput = secondary_throughput_fb
+    else:
+        w_floor = lam / delta_bar
+
+        def log_pi0(b: float) -> float:
+            mu_p = delta_bar * (1.0 - b) ** M_s
+            if mu_p <= lam:
+                return -math.inf
+            return math.log1p(-lam / mu_p) if lam > 0.0 else 0.0
+        throughput = secondary_throughput_nofb
 
     # budget never worth pushing past the aloha stationary point or stability
-    if cfg.M_s > 1:
-        _, _, b_target = _fill_target_s0(p0, p1, 1.0 / cfg.M_s)
+    if M_s > 1:
+        _, _, b_target = _fill_target_s0(p0, p1, 1.0 / M_s)
     else:
         b_target = float(p1.sum())
-    b_stab = 1.0 - (lam / delta_bar) ** (1.0 / cfg.M_s)
+    b_stab = 1.0 - w_floor ** (1.0 / M_s)
     hi = min(float(p1.sum()), b_target, b_stab * (1.0 - 1e-12))
 
     prefix0 = np.concatenate([[0.0], np.cumsum(p0)])
     prefix1 = np.concatenate([[0.0], np.cumsum(p1)])
+
+    def log_objective(b: float, seg: int) -> float:
+        # s0 along the frontier is linear inside segment `seg`
+        s0 = prefix0[seg] + (b - prefix1[seg]) * (p0[seg] / p1[seg])
+        return log_pi0(b) + _log_aloha_factor(s0, M_s)
+
     best_b = 0.0
     best_val = -math.inf
     evals = 0
@@ -352,27 +170,43 @@ def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig,
         hi_b = min(float(prefix1[seg + 1]), hi)
         if hi_b <= lo_b:
             break
-        res = minimize_scalar(
-            lambda b: -_nofb_log_objective(b, p0, p1, prefix0, prefix1, seg,
-                                           lam, delta_bar, cfg.M_s),
-            bounds=(lo_b, hi_b), method="bounded",
-            options={"xatol": 1e-13, "maxiter": 500},
-        )
+        res = minimize_scalar(lambda b: -log_objective(b, seg), bounds=(lo_b, hi_b),
+                              method="bounded", options={"xatol": 1e-13, "maxiter": 500})
         evals += int(res.nfev)
         for b in (float(res.x), hi_b):  # segment interior plus its right edge
-            val = _nofb_log_objective(b, p0, p1, prefix0, prefix1, seg,
-                                      lam, delta_bar, cfg.M_s)
+            val = log_objective(b, seg)
             if val > best_val:
                 best_val = val
                 best_b = b
 
     a, _, _ = _fill_budget(p0, p1, best_b)
-    policy = AccessPolicy(tuple(a), Scheme.NO_FEEDBACK)
-    objective = secondary_throughput_nofb(cfg, sensing, policy)
+    policy = AccessPolicy(tuple(a), scheme)
+    objective = throughput(cfg, sensing, policy)
     if isinstance(objective, Unstable):  # can only happen at degenerate zero headroom
-        return _infeasible(Scheme.NO_FEEDBACK, n)
-    return OptResult(policy=policy, objective=objective, tau_star=None,
-                     feasible=True, iterations=evals, solver_trace=())
+        return _infeasible(scheme, n)
+    return OptResult(policy=policy, objective=objective, feasible=True, iterations=evals)
+
+
+def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
+    """Optimize the feedback-scheme policy exactly.
+
+    The objective pi_0 * (1-P_sd) * s0 (1-s0)^(M_s-1) with the feedback
+    pi_0 = (chi - lambda_p)/delta_bar is searched along the greedy prefix
+    frontier by a bounded Brent search per frontier segment. The reported
+    objective is the plain rates formula evaluated at the policy, and
+    `iterations` counts objective evaluations.
+    """
+    return _frontier_optimum(cfg, sensing, Scheme.FEEDBACK)
+
+
+def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
+    """Optimize the no-feedback policy exactly.
+
+    The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
+    in the s1 budget along the greedy prefix frontier, so a bounded Brent
+    search per frontier segment finds the optimum to machine precision.
+    """
+    return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
 
 
 def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
@@ -413,10 +247,9 @@ def hard_decision_sensing(sensing: SensingConfig) -> SensingConfig:
                          sigma0_sq=sensing.sigma0_sq, sigma1_sq=sensing.sigma1_sq)
 
 
-def baseline_hard_decision(cfg: NetworkConfig, sensing: SensingConfig,
-                           opt: OptimizerConfig | None = None) -> OptResult:
+def baseline_hard_decision(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     """Binary sense-and-access baseline: the n=1 restriction of the soft problem."""
-    res = solve_nofb(cfg, hard_decision_sensing(sensing), opt)
+    res = solve_nofb(cfg, hard_decision_sensing(sensing))
     policy = AccessPolicy(res.policy.a, Scheme.HARD_DECISION)
     return replace(res, policy=policy)
 
@@ -435,8 +268,7 @@ def baseline_genie(cfg: NetworkConfig) -> OptResult:
     pi0 = 1.0 - cfg.lambda_p / delta_bar
     mu = pi0 * (1.0 - secondary_outage(cfg)) * a_star * (1.0 - a_star) ** (cfg.M_s - 1)
     policy = AccessPolicy((a_star,), Scheme.GENIE)
-    return OptResult(policy=policy, objective=mu, tau_star=None,
-                     feasible=True, iterations=1, solver_trace=())
+    return OptResult(policy=policy, objective=mu, feasible=True, iterations=1)
 
 
 def grid_search(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme,

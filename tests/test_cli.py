@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softaccess import (
     Experiment,
@@ -179,7 +183,7 @@ class TestMain:
         assert len(rows) == 8
         assert list(rows[0]) == [
             "sweep_value", "scheme", "feasible", "mu_s", "network_throughput",
-            "mu_p", "delay", "pi0", "a_1", "a_2", "a_3", "a_4", "tau_star",
+            "mu_p", "delay", "pi0", "a_1", "a_2", "a_3", "a_4",
         ]
         assert (tmp_path / "sweep.gp").exists()
         plot = (tmp_path / "sweep.gp").read_text()
@@ -195,8 +199,6 @@ class TestMain:
         assert float(by_scheme["fb"]["pi0"]) == 1.0
         assert by_scheme["genie"]["a_1"] == "0.5"
         assert by_scheme["genie"]["a_2"] == ""
-        assert by_scheme["nofb"]["tau_star"] == ""
-        assert float(by_scheme["fb"]["tau_star"]) == 0.0
 
     def test_sweep_infeasible_rows_empty_not_zero(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.values = 0.03, 0.249\n")
@@ -308,3 +310,31 @@ class TestMain:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out)
         assert [r["sweep_value"] for r in rows] == ["1", "1", "2", "2"]
+
+
+class TestExitCodes:
+    @given(
+        lam=st.floats(0.0, 0.99),
+        M_s=st.integers(1, 20),
+        n=st.integers(1, 8),
+        idle_tail=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        by_ms=st.booleans(),
+        lambdas=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
+        ms_values=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+        schemes=st.lists(st.sampled_from(["fb", "nofb", "hard", "genie"]),
+                         min_size=1, max_size=4, unique=True),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_sweep_exits_with_a_documented_code(self, lam, M_s, n, idle_tail, by_ms,
+                                                lambdas, ms_values, schemes):
+        if by_ms:
+            sweep = f"sweep.variable = M_s\nsweep.values = {', '.join(map(str, ms_values))}\n"
+        else:
+            sweep = f"sweep.values = {', '.join(map(repr, lambdas))}\n"
+        text = (f"network.lambda_p = {lam!r}\nnetwork.M_s = {M_s}\nsensing.n = {n}\n"
+                f"sensing.idle_tail = {idle_tail!r}\nschemes = {','.join(schemes)}\n" + sweep)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "exp.conf"
+            cfg.write_text(text, encoding="utf-8")
+            code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out.csv")])
+        assert code in (0, 2, 3)
