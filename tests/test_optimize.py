@@ -208,6 +208,14 @@ class TestGridSearch:
         assert abs(res.objective - obj_grid) <= 1e-6
         assert res.objective >= obj_grid - 1e-12
 
+    def test_single_bin_matches_feedback_solver(self, ref_cfg, ref_sensing):
+        sensing = hard_decision_sensing(ref_sensing)
+        a_grid, obj_grid = grid_search(ref_cfg, sensing, Scheme.FEEDBACK,
+                                       step=0.001)
+        res = solve_feedback(ref_cfg, sensing)
+        assert abs(res.objective - obj_grid) <= 1e-6
+        assert res.objective >= obj_grid - 1e-12
+
 
 def frontier_objective(cfg, sensing, scheme, s0):
     """Objective of the cheapest policy with idle access s0, vectorised over s0.
@@ -257,6 +265,67 @@ class TestDenseFrontierOracle:
                 assert dense > 0.0
                 assert res.objective >= dense * (1.0 - 1e-9)
                 assert res.objective <= dense * (1.0 + 1e-9)
+
+
+SOFT_SOLVERS = pytest.mark.parametrize(
+    "scheme, solver",
+    [(Scheme.FEEDBACK, solve_feedback), (Scheme.NO_FEEDBACK, solve_nofb)],
+    ids=["fb", "nofb"])
+
+
+def random_networks(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cfg, sensing = sample_network(rng, n=int(rng.integers(1, 9)))
+        yield dataclasses.replace(cfg, M_s=int(rng.integers(1, 11))), sensing
+
+
+class TestFrontierPolicy:
+    @SOFT_SOLVERS
+    def test_policy_is_greedy_prefix(self, scheme, solver):
+        for cfg, sensing in random_networks(67, 40):
+            a = np.asarray(solver(cfg, sensing).policy.a)
+            full = int(np.sum(a == 1.0))
+            assert np.all(a[:full] == 1.0)
+            assert np.all(a[full + 1:] == 0.0)
+            if full < a.size:
+                assert 0.0 <= a[full] < 1.0
+
+    @SOFT_SOLVERS
+    def test_idle_access_stops_at_aloha_point(self, scheme, solver):
+        for cfg, sensing in random_networks(71, 40):
+            res = solver(cfg, sensing)
+            s0 = float(np.dot(res.policy.a, sensing.p0()))
+            assert s0 <= 1.0 / cfg.M_s + 1e-12
+
+    @SOFT_SOLVERS
+    def test_optimum_nonincreasing_in_load(self, scheme, solver):
+        for cfg, sensing in random_networks(73, 15):
+            db = delta_bar(cfg)
+            objectives = [solver(dataclasses.replace(cfg, lambda_p=f * db),
+                                 sensing).objective
+                          for f in np.linspace(0.0, 0.99, 12)]
+            for lighter, heavier in zip(objectives, objectives[1:]):
+                assert heavier <= lighter * (1.0 + 1e-12)
+
+    @SOFT_SOLVERS
+    def test_iterations_count_search_evaluations(self, scheme, solver, ref_sensing):
+        res = solver(NetworkConfig(), ref_sensing)
+        assert res.feasible and res.iterations >= 1
+        assert solver(NetworkConfig(lambda_p=0.25), ref_sensing).iterations == 0
+
+    @SOFT_SOLVERS
+    @pytest.mark.filterwarnings("error")
+    def test_feasible_up_to_the_load_limit(self, scheme, solver):
+        # the budget is clamped inside the stability region, so the search
+        # never meets -inf and the policy keeps the queue stable
+        for cfg, sensing in random_networks(79, 15):
+            for frac in (1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):
+                near = dataclasses.replace(cfg, lambda_p=frac * delta_bar(cfg))
+                res = solver(near, sensing)
+                assert res.feasible
+                assert res.objective > 0.0
+                assert stability(near, sensing, res.policy, scheme).stable
 
 
 class TestSchemeOrdering:
