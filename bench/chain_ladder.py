@@ -2,8 +2,9 @@
 
 Usage (from the root of a source checkout):
 
-    python3 bench/chain_ladder.py --side change
-    python3 bench/chain_ladder.py --side parent --src /path/to/other/checkout/src
+    python3 bench/chain_ladder.py --side change --out BENCH_2.json
+    python3 bench/chain_ladder.py --side parent --src /path/to/other/checkout/src \
+        --out BENCH_2.json
 
 For each psi on the ladder it solves numeric_distribution on
 chain_params_from_rates(0.2, 0.75, lambda_p) at K = default_truncation(psi)
@@ -11,8 +12,8 @@ and records the median seconds over five solves, K and the largest
 entrywise gap to closed_form_distribution, after one untimed warm-up
 solve on the first rung. A rung that raises is recorded
 once as a failure with its time to failure. The result goes under
-sides[<side>] of BENCH_2.json, keeping the other sides already there, so
-two checkouts of the package can be compared on one machine. The ladder's
+sides[<side>] of the --out file, keeping the other sides already there,
+so two checkouts of the package can be compared on one machine. The ladder's
 lambda_p comes from perfbench/workloads.py. The process pins itself to
 one allowed CPU, as perfbench/run.py does.
 """
@@ -32,7 +33,6 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_2.json"
 LADDER = (0.5, 0.9, 0.95, 0.98, 0.985, 0.99, 0.995, 0.999)
 GAMMA_P, DELTA = 0.2, 0.75
 REPEAT = 5
@@ -66,6 +66,8 @@ def main(argv=None) -> int:
     parser.add_argument("--side", required=True, help="name of this record, e.g. parent or change")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the softaccess package to time")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
     if hasattr(os, "sched_setaffinity"):
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
         print(json.dumps(rung), flush=True)
         rungs.append(rung)
 
-    bench = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
+    bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("machine", {
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
         "repeat": REPEAT,
         "chain.numeric_distribution": rungs,
     }
-    OUT.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

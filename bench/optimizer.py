@@ -2,8 +2,9 @@
 
 Usage (from the root of a source checkout):
 
-    python3 bench/optimizer.py --side change
-    python3 bench/optimizer.py --side parent --src /path/to/other/checkout/src
+    python3 bench/optimizer.py --side change --out BENCH_3.json
+    python3 bench/optimizer.py --side parent --src /path/to/other/checkout/src \
+        --out BENCH_3.json
 
 At every point of the analytic_sweep lambda grid (lambda_p = i * 0.005,
 i = 0..50, the reference network otherwise) and for n = 2, 4 and 8
@@ -12,8 +13,8 @@ default_sensing(cfg, n) and records the median seconds per call over
 five calls, the objective, feasibility and the optimizer's evaluation
 count, after one untimed warm-up call of each. Per bin count it also
 records the sum of the medians. The result goes under sides[<side>] of
-BENCH_3.json, keeping the other sides already there, so two checkouts of
-the package can be compared on one machine. The process pins itself to
+the --out file, keeping the other sides already there, so two checkouts
+of the package can be compared on one machine. The process pins itself to
 one allowed CPU, as perfbench/run.py does.
 """
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_3.json"
 LAMBDAS = tuple(i * 0.005 for i in range(51))
 BINS = (2, 4, 8)
 REPEAT = 5
@@ -53,6 +53,8 @@ def main(argv=None) -> int:
     parser.add_argument("--side", required=True, help="name of this record, e.g. parent or change")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the softaccess package to time")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
     if hasattr(os, "sched_setaffinity"):
@@ -80,7 +82,7 @@ def main(argv=None) -> int:
         print(json.dumps({"n": n, "total_seconds": totals}), flush=True)
         record[f"n{n}"] = {"total_seconds": totals, "points": points}
 
-    bench = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
+    bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("machine", {
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -92,7 +94,7 @@ def main(argv=None) -> int:
         "repeat": REPEAT,
         "optimize": record,
     }
-    OUT.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

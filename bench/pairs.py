@@ -3,7 +3,7 @@
 Usage (from the root of a source checkout):
 
     python3 bench/pairs.py --parent /path/to/parent/checkout --change . \
-        --workload oracle_check
+        --workload oracle_check --out BENCH_4.json
 
 Each of ten pairs, i = 0..9, runs the BENCHMARK.json command untraced
 for its run_seconds on seed i + 1, once in each checkout through that
@@ -11,8 +11,8 @@ checkout's own perfbench/steady.py, parent first on even i and change
 first on odd i, so slow drift of the machine falls on both sides alike. For every end-to-end
 metric of BENCHMARK.json it records each side's median and quartiles and
 how many pairs the change won (ties count for neither), plus each run's
-correct/attempted/failed. The result goes under end_to_end[W] of
-BENCH_3.json, keeping the rest of the file.
+correct/attempted/failed. The result goes under end_to_end[W] of the
+--out file, keeping the rest of the file.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_3.json"
 PAIRS = 10
 
 
@@ -47,6 +46,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--out", required=True, type=Path,
+                        help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -77,11 +78,11 @@ def main(argv=None) -> int:
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": PAIRS,
         }
-    bench = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
+    bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("end_to_end", {})[args.workload] = {
         "run_seconds": spec["run_seconds"], "summary": summary, "runs": runs,
     }
-    OUT.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, s in summary.items():
         print(f"{args.workload} {name}: parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g} {s['unit']}, "

@@ -2,9 +2,10 @@
 
 Configs are flat `section.key = value` text files; unknown keys and bad
 values produce (field, reason) diagnostics rather than exceptions. A
-sweep runs the per-scheme optimizer at every grid point, optionally
-attaches Monte Carlo estimates, and writes one deterministic CSV row per
-(sweep value, scheme) plus a small gnuplot script alongside.
+sweep calls `optimize.evaluate` for every scheme at every grid point,
+optionally simulates the chosen policy for Monte Carlo estimates, and
+writes one deterministic CSV row per (sweep value, scheme) plus a small
+gnuplot script alongside. The CLI itself holds no per-scheme logic.
 """
 from __future__ import annotations
 
@@ -15,22 +16,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .chain import SolveError, delay_fb, delay_nofb
+from .chain import SolveError
 from .model import NetworkConfig, Scheme, SensingConfig
-from .optimize import (
-    baseline_genie,
-    baseline_hard_decision,
-    hard_decision_sensing,
-    solve_feedback,
-    solve_nofb,
-)
-from .rates import (
-    chain_params,
-    pi0_feedback,
-    pi0_nofb,
-    primary_outage,
-    primary_service_rate_nofb,
-)
+from .optimize import evaluate
 from .simulate import CapacityError, SimConfig, run
 
 __all__ = ["Experiment", "validate_config", "run_sweep", "sweep_rows", "main"]
@@ -134,20 +122,11 @@ def validate_config(path):
     """
     values, diagnostics = _parse_lines(path)
 
-    net_kwargs = {}
-    for key, field in (
-        ("network.M_p", "M_p"), ("network.M_s", "M_s"),
-        ("network.lambda_p", "lambda_p"), ("network.G_p", "G_p"),
-        ("network.G_s", "G_s"), ("network.r_pd", "r_pd"),
-        ("network.r_sd", "r_sd"), ("network.r_ps", "r_ps"),
-        ("network.gamma", "gamma"), ("network.N_0", "N_0"),
-    ):
-        if key in values:
-            net_kwargs[field] = values[key]
+    # every network.<field> key names a NetworkConfig field, except the dB threshold
+    net_kwargs = {key[len("network."):]: value for key, value in values.items()
+                  if key.startswith("network.") and key != "network.zeta_db"}
     if "network.zeta_db" in values:
         net_kwargs["zeta"] = 10.0 ** (values["network.zeta_db"] / 10.0)
-    if "network.omega_p" in values:
-        net_kwargs["omega_p"] = values["network.omega_p"]
     try:
         base = NetworkConfig(**net_kwargs)
     except (ValueError, TypeError) as exc:
@@ -234,44 +213,18 @@ def _point_rows(exp: Experiment, value: float):
         cfg = replace(exp.base, M_s=int(round(value)))
     rows = []
     for scheme in exp.schemes:
-        if scheme is Scheme.FEEDBACK:
-            res = solve_feedback(cfg, exp.sensing)
-            sens = exp.sensing
-        elif scheme is Scheme.NO_FEEDBACK:
-            res = solve_nofb(cfg, exp.sensing)
-            sens = exp.sensing
-        elif scheme is Scheme.HARD_DECISION:
-            res = baseline_hard_decision(cfg, exp.sensing)
-            sens = hard_decision_sensing(exp.sensing)
-        else:
-            res = baseline_genie(cfg)
-            sens = None
+        point = evaluate(cfg, exp.sensing, scheme)
+        res = point.result
         row = {"sweep_value": float(value), "scheme": scheme.value,
                "feasible": res.feasible}
-        if not res.feasible:
-            rows.append(row)
-            continue
-        policy = res.policy
-        if scheme is Scheme.FEEDBACK:
-            params = chain_params(cfg, sens, policy)
-            mu_p = params.gamma_p
-            pi0 = float(pi0_feedback(cfg, sens, policy))
-            delay = float(delay_fb(params, cfg.lambda_p))
-        elif scheme is Scheme.GENIE:
-            mu_p = (1.0 - primary_outage(cfg)) / cfg.M_p
-            pi0 = 1.0 - cfg.lambda_p / mu_p
-            delay = float(delay_nofb(cfg.lambda_p, mu_p))
-        else:
-            mu_p = primary_service_rate_nofb(cfg, sens, policy)
-            pi0 = float(pi0_nofb(cfg, sens, policy))
-            delay = float(delay_nofb(cfg.lambda_p, mu_p))
-        row.update(mu_s=res.objective, network_throughput=cfg.M_s * res.objective,
-                   mu_p=mu_p, delay=delay, pi0=pi0, a=policy.a)
-        if exp.sim is not None:
-            report = run(cfg, sens, policy, exp.sim)
-            row.update(mu_s_hat=report.mu_s_hat, se_mu_s=report.se_mu_s,
-                       delay_hat=report.delay_hat, se_delay=report.se_delay,
-                       pi0_hat=report.pi0_hat, seed=report.seed_used)
+        if res.feasible:
+            row.update(mu_s=res.objective, network_throughput=cfg.M_s * res.objective,
+                       mu_p=point.mu_p, delay=point.delay, pi0=point.pi0, a=res.policy.a)
+            if exp.sim is not None:
+                report = run(cfg, point.sensing, res.policy, exp.sim)
+                row.update(mu_s_hat=report.mu_s_hat, se_mu_s=report.se_mu_s,
+                           delay_hat=report.delay_hat, se_delay=report.se_delay,
+                           pi0_hat=report.pi0_hat, seed=report.seed_used)
         rows.append(row)
     return rows
 

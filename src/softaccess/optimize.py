@@ -19,6 +19,9 @@ right edge, finds the optimum. The no-feedback log pi_0 is concave in b;
 the feedback one is concave only while (M_s-1)*c0 <= c1*(1-b)^M_s, with
 c0 = delta_bar*(1-lambda) - lambda and c1 = lambda*delta_bar, so the
 tests hold both schemes against a dense frontier evaluation.
+
+`evaluate` is the one place that maps a scheme to its solver, detector
+and primary-queue formulas; the CLI and the acceptance tests read it.
 """
 from __future__ import annotations
 
@@ -28,11 +31,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .chain import delay_fb, delay_nofb
 from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
     _log_aloha_factor,
+    chain_params,
+    pi0_feedback,
+    pi0_nofb,
     primary_outage,
+    primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
@@ -40,6 +48,8 @@ from .rates import (
 
 __all__ = [
     "OptResult",
+    "Point",
+    "evaluate",
     "solve_nofb",
     "solve_feedback",
     "baseline_hard_decision",
@@ -269,6 +279,55 @@ def baseline_genie(cfg: NetworkConfig) -> OptResult:
     mu = pi0 * (1.0 - secondary_outage(cfg)) * a_star * (1.0 - a_star) ** (cfg.M_s - 1)
     policy = AccessPolicy((a_star,), Scheme.GENIE)
     return OptResult(policy=policy, objective=mu, feasible=True, iterations=1)
+
+
+@dataclass(frozen=True)
+class Point:
+    """One scheme's optimum at one network, with its primary queue.
+
+    `sensing` is the detector the policy reads: the one-bin collapse for
+    HARD_DECISION, None for GENIE. mu_p, pi0 and delay are nan when the
+    point is infeasible.
+    """
+
+    result: OptResult
+    sensing: SensingConfig | None
+    mu_p: float
+    pi0: float
+    delay: float
+
+
+def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> Point:
+    """Optimize one scheme and evaluate its primary service rate, pi_0 and delay.
+
+    The feedback queue is the chain of `chain_params`; every other
+    scheme's queue is a Bernoulli server of rate mu_p, interference-free
+    for the genie.
+    """
+    if scheme is Scheme.FEEDBACK:
+        res, sens = solve_feedback(cfg, sensing), sensing
+    elif scheme is Scheme.NO_FEEDBACK:
+        res, sens = solve_nofb(cfg, sensing), sensing
+    elif scheme is Scheme.HARD_DECISION:
+        res, sens = baseline_hard_decision(cfg, sensing), hard_decision_sensing(sensing)
+    else:
+        res, sens = baseline_genie(cfg), None
+    if not res.feasible:
+        return Point(res, sens, math.nan, math.nan, math.nan)
+    if scheme is Scheme.FEEDBACK:
+        params = chain_params(cfg, sens, res.policy)
+        mu_p = params.gamma_p
+        pi0 = float(pi0_feedback(cfg, sens, res.policy))
+        delay = float(delay_fb(params, cfg.lambda_p))
+    elif scheme is Scheme.GENIE:
+        mu_p = (1.0 - primary_outage(cfg)) / cfg.M_p
+        pi0 = 1.0 - cfg.lambda_p / mu_p
+        delay = float(delay_nofb(cfg.lambda_p, mu_p))
+    else:
+        mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
+        pi0 = float(pi0_nofb(cfg, sens, res.policy))
+        delay = float(delay_nofb(cfg.lambda_p, mu_p))
+    return Point(res, sens, mu_p, pi0, delay)
 
 
 def grid_search(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme,

@@ -24,7 +24,6 @@ from .model import (
     SensingConfig,
     clamp_probability,
     joint_access_probability,
-    log_complement_outage,
     outage_probability,
 )
 
@@ -43,8 +42,6 @@ __all__ = [
     "delta_pi0",
     "secondary_throughput_nofb",
     "secondary_throughput_fb",
-    "log_secondary_throughput_nofb",
-    "log_secondary_throughput_fb",
     "stability",
 ]
 
@@ -214,32 +211,6 @@ def _log_aloha_factor(s0: float, M_s: int) -> float:
     if s0 >= 1.0:
         return -math.inf if M_s > 1 else 0.0
     return math.log(s0) + (M_s - 1) * math.log1p(-s0)
-
-
-def log_secondary_throughput_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """log of secondary_throughput_nofb; -inf at zero throughput.
-
-    Backs the optimizer; the direct formula is the public contract and a
-    standing test pins exp(log form) to it.
-    """
-    mu_p = primary_service_rate_nofb(cfg, sensing, policy)
-    if cfg.lambda_p >= mu_p:
-        return Unstable(mu_p - cfg.lambda_p)
-    s0 = joint_access_probability(policy, sensing.p0())
-    log_pi0 = math.log1p(-cfg.lambda_p / mu_p) if cfg.lambda_p > 0.0 else 0.0
-    log_clear = log_complement_outage(cfg.G_s, cfg.r_sd, cfg.gamma, cfg.zeta, cfg.N_0)
-    return log_pi0 + log_clear + _log_aloha_factor(s0, cfg.M_s)
-
-
-def log_secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """log of secondary_throughput_fb; -inf at zero throughput."""
-    params = chain_params(cfg, sensing, policy)
-    if cfg.lambda_p >= params.chi:
-        return Unstable(params.chi - cfg.lambda_p)
-    s0 = joint_access_probability(policy, sensing.p0())
-    log_pi0 = math.log(params.chi - cfg.lambda_p) - math.log1p(-params.delta)
-    log_clear = log_complement_outage(cfg.G_s, cfg.r_sd, cfg.gamma, cfg.zeta, cfg.N_0)
-    return log_pi0 + log_clear + _log_aloha_factor(s0, cfg.M_s)
 
 
 def stability(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy, scheme: Scheme) -> StabilityReport:

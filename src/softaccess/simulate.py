@@ -220,8 +220,8 @@ def _resolve(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig):
     return scheme_id, a_vec, a_genie, scale_idle, scale_busy, n_bins, cum_omega
 
 
-def _run_one(kernel, rng, cfg, sim, scheme_id, a_vec, a_genie,
-             scale_idle, scale_busy, n_bins, cum_omega, trace_arrays=None):
+def _run_one(kernel, rng, cfg, sim, trace, scheme_id, a_vec, a_genie,
+             scale_idle, scale_busy, n_bins, cum_omega):
     M_p, M_s = cfg.M_p, cfg.M_s
     lam = cfg.lambda_p
     clear_pd = 1.0 - primary_outage(cfg)
@@ -233,8 +233,7 @@ def _run_one(kernel, rng, cfg, sim, scheme_id, a_vec, a_genie,
     stats = np.zeros(8, dtype=np.int64)
     arr_cnt = np.zeros(M_p, dtype=np.int64)
     dep_cnt = np.zeros(M_p, dtype=np.int64)
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_q = np.zeros((0, M_p), dtype=np.int64)
+    trace_on = trace[0].size > 0
 
     t0 = 0
     while t0 < sim.slots:
@@ -248,23 +247,13 @@ def _run_one(kernel, rng, cfg, sim, scheme_id, a_vec, a_genie,
         acc_u = rng.random((L, M_s))
         pu_u = rng.random(L)
         su_u = rng.random((L, M_s))
-        if trace_arrays is None:
-            kernel(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
-                   queue, phase, buf, head,
-                   a_vec, n_bins, scheme_id, lam, clear_pd, clear_sd,
-                   scale_idle, scale_busy, a_genie, M_p, M_s, sim.warmup,
-                   stats, arr_cnt, dep_cnt,
-                   False, empty_i, empty_q, empty_i, empty_i, empty_i, empty_i)
-        else:
-            tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb = trace_arrays
-            kernel(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
-                   queue, phase, buf, head,
-                   a_vec, n_bins, scheme_id, lam, clear_pd, clear_sd,
-                   scale_idle, scale_busy, a_genie, M_p, M_s, sim.warmup,
-                   stats, arr_cnt, dep_cnt,
-                   True, tr_owner[t0:t0 + L], tr_q[t0:t0 + L],
-                   tr_rmask[t0:t0 + L], tr_sumask[t0:t0 + L],
-                   tr_outcome[t0:t0 + L], tr_fb[t0:t0 + L])
+        # zero-length trace columns slice to zero-length views
+        kernel(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
+               queue, phase, buf, head,
+               a_vec, n_bins, scheme_id, lam, clear_pd, clear_sd,
+               scale_idle, scale_busy, a_genie, M_p, M_s, sim.warmup,
+               stats, arr_cnt, dep_cnt,
+               trace_on, *[col[t0:t0 + L] for col in trace])
         if stats[7]:
             raise CapacityError("primary queue exceeded the ring buffer capacity")
         t0 += L
@@ -287,17 +276,18 @@ def _mean_se(values):
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
-        sim: SimConfig | None = None, force_python: bool = False) -> SimReport:
-    """Simulate and report point estimates with across-replication SEs.
+def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
+              force_python: bool, traced_slots: int):
+    """Run every replication; return the report and the trace columns.
 
-    Replications use independent spawned seed streams, so the report is a
-    deterministic function of (inputs, seed). SEs are nan at one
-    replication.
+    The six trace columns (owner, queues, retransmission mask, secondary
+    mask, outcome, feedback) have traced_slots rows; at zero the kernel
+    records no trace.
     """
-    sim = sim or SimConfig()
     parts = _resolve(cfg, sensing, policy, sim)
     kernel = _sim_chunk if (force_python or _sim_chunk_jit is None) else _sim_chunk_jit
+    trace = (np.zeros(traced_slots, np.int64), np.zeros((traced_slots, cfg.M_p), np.int64),
+             *(np.zeros(traced_slots, np.int64) for _ in range(4)))
     span = sim.slots - sim.warmup
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
     per_rep = []
@@ -307,7 +297,7 @@ def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     backlog = np.zeros(cfg.M_p, dtype=np.int64)
     for child in children:
         rng = np.random.default_rng(child)
-        stats, arr_cnt, dep_cnt, queue = _run_one(kernel, rng, cfg, sim, *parts)
+        stats, arr_cnt, dep_cnt, queue = _run_one(kernel, rng, cfg, sim, trace, *parts)
         per_rep.append(_estimates(stats, span, cfg.M_s))
         collisions += int(stats[4])
         arrivals += arr_cnt
@@ -317,7 +307,7 @@ def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     mu_p, se_mu_p = _mean_se([r[1] for r in per_rep])
     pi0, se_pi0 = _mean_se([r[2] for r in per_rep])
     delay, se_delay = _mean_se([r[3] for r in per_rep])
-    return SimReport(
+    report = SimReport(
         mu_s_hat=mu_s, se_mu_s=se_mu_s,
         mu_p_hat=mu_p, se_mu_p=se_mu_p,
         delay_hat=delay, se_delay=se_delay,
@@ -328,58 +318,43 @@ def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
         final_backlog=tuple(int(x) for x in backlog),
         seed_used=sim.seed, replications=sim.replications, slots=sim.slots,
     )
+    return report, trace
+
+
+def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
+        sim: SimConfig | None = None, force_python: bool = False) -> SimReport:
+    """Simulate and report point estimates with across-replication SEs.
+
+    Replications use independent spawned seed streams, so the report is a
+    deterministic function of (inputs, seed). SEs are nan at one
+    replication.
+    """
+    return _simulate(cfg, sensing, policy, sim or SimConfig(), force_python, 0)[0]
 
 
 def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
                sim: SimConfig | None = None, force_python: bool = False):
     """Single-replication run returning (report, per-slot trace).
 
-    The trace records slot-start state: owner, queue lengths, the
-    retransmission mask, plus the slot's secondary mask, outcome code and
-    feedback code. Outcomes: 0 quiet, 1 primary success, 2 primary loss,
-    3 secondary success, 4 secondary collision, 5 secondary outage loss.
-    Feedback: 0 none, 1 ack, 2 nack.
+    The report is the one `run` gives for the same inputs. The trace
+    records slot-start state: owner, queue lengths, the retransmission
+    mask, plus the slot's secondary mask, outcome code and feedback code.
+    Outcomes: 0 quiet, 1 primary success, 2 primary loss, 3 secondary
+    success, 4 secondary collision, 5 secondary outage loss. Feedback:
+    0 none, 1 ack, 2 nack.
     """
     sim = sim or SimConfig()
     if sim.replications != 1:
         raise ValueError("run_traced requires replications == 1")
-    parts = _resolve(cfg, sensing, policy, sim)
-    kernel = _sim_chunk if (force_python or _sim_chunk_jit is None) else _sim_chunk_jit
-    tr_owner = np.zeros(sim.slots, dtype=np.int64)
-    tr_q = np.zeros((sim.slots, cfg.M_p), dtype=np.int64)
-    tr_rmask = np.zeros(sim.slots, dtype=np.int64)
-    tr_sumask = np.zeros(sim.slots, dtype=np.int64)
-    tr_outcome = np.zeros(sim.slots, dtype=np.int64)
-    tr_fb = np.zeros(sim.slots, dtype=np.int64)
-    trace_arrays = (tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb)
-    rng = np.random.default_rng(np.random.SeedSequence(sim.seed).spawn(1)[0])
-    stats, arr_cnt, dep_cnt, queue = _run_one(kernel, rng, cfg, sim, *parts,
-                                              trace_arrays=trace_arrays)
-    span = sim.slots - sim.warmup
-    mu_s, mu_p, pi0, delay = _estimates(stats, span, cfg.M_s)
-    report = SimReport(
-        mu_s_hat=mu_s, se_mu_s=math.nan,
-        mu_p_hat=mu_p, se_mu_p=math.nan,
-        delay_hat=delay, se_delay=math.nan,
-        pi0_hat=pi0, se_pi0=math.nan,
-        collisions=int(stats[4]),
-        arrivals=tuple(int(x) for x in arr_cnt),
-        departures=tuple(int(x) for x in dep_cnt),
-        final_backlog=tuple(int(x) for x in queue),
-        seed_used=sim.seed, replications=1, slots=sim.slots,
-    )
+    report, columns = _simulate(cfg, sensing, policy, sim, force_python, sim.slots)
     dtype = np.dtype([
         ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (cfg.M_p,)),
         ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),
     ])
     trace = np.zeros(sim.slots, dtype=dtype)
     trace["slot"] = np.arange(sim.slots, dtype=np.int64)
-    trace["owner"] = tr_owner
-    trace["queues"] = tr_q
-    trace["r_mask"] = tr_rmask
-    trace["su_mask"] = tr_sumask
-    trace["outcome"] = tr_outcome
-    trace["feedback"] = tr_fb
+    for name, col in zip(dtype.names[1:], columns):
+        trace[name] = col
     return report, trace
 
 

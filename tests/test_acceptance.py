@@ -18,22 +18,17 @@ from softaccess import (
     NetworkConfig,
     Scheme,
     SimConfig,
-    baseline_hard_decision,
-    chain_params,
     chain_params_from_rates,
     closed_form_distribution,
     default_sensing,
     default_truncation,
     delay_fb,
-    delay_nofb,
     delta_pi0,
+    evaluate,
     grid_search,
-    hard_decision_sensing,
     littles_law_delay,
     main,
     numeric_distribution,
-    pi0_feedback,
-    pi0_nofb,
     primary_service_rate_nofb,
     run,
     solve_feedback,
@@ -54,18 +49,10 @@ class TestCriterion1SimulatorAgreement:
     def test_within_three_standard_errors(self, lam, scheme):
         cfg = NetworkConfig(lambda_p=lam)
         sensing = default_sensing(cfg)
-        if scheme is Scheme.FEEDBACK:
-            res = solve_feedback(cfg, sensing)
-            params = chain_params(cfg, sensing, res.policy)
-            analytic = dict(mu_s=res.objective, mu_p=params.gamma_p,
-                            delay=float(delay_fb(params, lam)),
-                            pi0=float(pi0_feedback(cfg, sensing, res.policy)))
-        else:
-            res = solve_nofb(cfg, sensing)
-            mu_p = primary_service_rate_nofb(cfg, sensing, res.policy)
-            analytic = dict(mu_s=res.objective, mu_p=mu_p,
-                            delay=float(delay_nofb(lam, mu_p)),
-                            pi0=float(pi0_nofb(cfg, sensing, res.policy)))
+        point = evaluate(cfg, sensing, scheme)
+        res = point.result
+        analytic = dict(mu_s=res.objective, mu_p=point.mu_p,
+                        delay=point.delay, pi0=point.pi0)
         assert res.feasible
         report = run(cfg, sensing, res.policy, SimConfig(seed=0, scheme=scheme))
         assert report.slots == 1_000_000 and report.replications == 10
@@ -189,20 +176,13 @@ def ms_sweep():
     for M_s in range(1, 9):
         cfg = NetworkConfig(M_s=M_s, lambda_p=0.1)
         sensing = default_sensing(cfg)
-        fb = solve_feedback(cfg, sensing)
-        nofb = solve_nofb(cfg, sensing)
-        hard = baseline_hard_decision(cfg, sensing)
-        assert fb.feasible and nofb.feasible and hard.feasible
-        params = chain_params(cfg, sensing, fb.policy)
-        mu_no = primary_service_rate_nofb(cfg, sensing, nofb.policy)
-        mu_hd = primary_service_rate_nofb(
-            cfg, hard_decision_sensing(sensing), hard.policy)
+        fb, nofb, hard = (evaluate(cfg, sensing, scheme) for scheme in
+                          (Scheme.FEEDBACK, Scheme.NO_FEEDBACK, Scheme.HARD_DECISION))
+        assert fb.result.feasible and nofb.result.feasible and hard.result.feasible
         out[M_s] = dict(
-            fb_net=M_s * fb.objective, nofb_net=M_s * nofb.objective,
-            hard_net=M_s * hard.objective,
-            fb_delay=float(delay_fb(params, 0.1)),
-            nofb_delay=float(delay_nofb(0.1, mu_no)),
-            hard_delay=float(delay_nofb(0.1, mu_hd)),
+            fb_net=M_s * fb.result.objective, nofb_net=M_s * nofb.result.objective,
+            hard_net=M_s * hard.result.objective,
+            fb_delay=fb.delay, nofb_delay=nofb.delay, hard_delay=hard.delay,
         )
     return out
 

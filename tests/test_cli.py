@@ -66,6 +66,29 @@ class TestValidateConfig:
         exp = validate_config(write_config(tmp_path, "network.zeta_db = 0\n"))
         assert exp.base.zeta == pytest.approx(1.0)
 
+    def test_every_network_key_sets_its_field(self, tmp_path):
+        text = """
+            network.M_p = 3
+            network.M_s = 5
+            network.lambda_p = 0.07
+            network.G_p = 0.2
+            network.G_s = 0.05
+            network.r_pd = 90
+            network.r_sd = 110
+            network.r_ps = 160
+            network.gamma = 3.2
+            network.N_0 = 2e-11
+            network.zeta_db = 7
+            network.omega_p = 0.5, 0.3, 0.2
+        """
+        written = {line.split("=")[0].strip() for line in text.split("\n") if "=" in line}
+        assert written == {k for k in cli._ALL_KEYS if k.startswith("network.")}
+        exp = validate_config(write_config(tmp_path, text))
+        assert exp.base == NetworkConfig(
+            M_p=3, M_s=5, lambda_p=0.07, G_p=0.2, G_s=0.05, r_pd=90.0, r_sd=110.0,
+            r_ps=160.0, gamma=3.2, N_0=2e-11, zeta=10.0 ** (7.0 / 10.0),
+            omega_p=(0.5, 0.3, 0.2))
+
     def test_omega_list(self, tmp_path):
         exp = validate_config(write_config(
             tmp_path, "network.omega_p = 0.4, 0.3, 0.2, 0.1\n"))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,18 @@ from softaccess import (
     Scheme,
     baseline_genie,
     baseline_hard_decision,
+    chain_params,
     default_sensing,
+    delay_fb,
+    delay_nofb,
+    evaluate,
     grid_search,
     hard_decision_sensing,
     kkt_residual_nofb,
+    pi0_feedback,
+    pi0_nofb,
     primary_outage,
+    primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
@@ -339,3 +347,52 @@ class TestSchemeOrdering:
             assert hard <= nofb + 1e-12
             assert nofb <= fb + 1e-12
             assert fb <= genie + 1e-12
+
+
+SOLVERS = {
+    Scheme.FEEDBACK: solve_feedback,
+    Scheme.NO_FEEDBACK: solve_nofb,
+    Scheme.HARD_DECISION: baseline_hard_decision,
+    Scheme.GENIE: lambda cfg, sensing: baseline_genie(cfg),
+}
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_point_is_the_formulas_at_the_optimum(self, scheme, ref_sensing):
+        rng = np.random.default_rng(83)
+        cases = [(NetworkConfig(), ref_sensing), (NetworkConfig(lambda_p=0.25), ref_sensing)]
+        cases += [sample_network(rng) for _ in range(20)]
+        feasible = 0
+        for cfg, sensing in cases:
+            point = evaluate(cfg, sensing, scheme)
+            res = SOLVERS[scheme](cfg, sensing)
+            assert point.result == res
+            if scheme is Scheme.GENIE:
+                assert point.sensing is None
+            elif scheme is Scheme.HARD_DECISION:
+                assert point.sensing == hard_decision_sensing(sensing)
+                assert point.sensing.n == 1
+            else:
+                assert point.sensing is sensing
+            if not res.feasible:
+                assert math.isnan(point.mu_p)
+                assert math.isnan(point.pi0)
+                assert math.isnan(point.delay)
+                continue
+            feasible += 1
+            lam = cfg.lambda_p
+            if scheme is Scheme.FEEDBACK:
+                params = chain_params(cfg, sensing, res.policy)
+                expected = (params.gamma_p, pi0_feedback(cfg, sensing, res.policy),
+                            delay_fb(params, lam))
+            elif scheme is Scheme.GENIE:
+                mu_p = delta_bar(cfg)
+                expected = (mu_p, 1.0 - lam / mu_p, delay_nofb(lam, mu_p))
+            else:
+                sens = sensing if scheme is Scheme.NO_FEEDBACK else hard_decision_sensing(sensing)
+                mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
+                expected = (mu_p, pi0_nofb(cfg, sens, res.policy), delay_nofb(lam, mu_p))
+            assert (point.mu_p, point.pi0, point.delay) == expected
+        assert not evaluate(NetworkConfig(lambda_p=0.25), ref_sensing, scheme).result.feasible
+        assert feasible == len(cases) - 1

@@ -1,8 +1,6 @@
 """Analytic service-rate, throughput, and occupancy formulas."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +17,6 @@ from softaccess import (
     closed_form_distribution,
     default_sensing,
     delta_pi0,
-    log_secondary_throughput_fb,
-    log_secondary_throughput_nofb,
     pi0_feedback,
     pi0_nofb,
     primary_service_rate_nofb,
@@ -107,25 +103,6 @@ class TestSecondaryThroughput:
             if isinstance(fb, Unstable) or isinstance(nofb, Unstable):
                 continue
             assert fb >= nofb - 1e-15
-
-    def test_log_twins(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            cfg, sensing = sample_network(rng)
-            pol = AccessPolicy(tuple(rng.uniform(0.01, 1.0, size=sensing.n)))
-            for log_f, plain_f in ((log_secondary_throughput_nofb,
-                                    secondary_throughput_nofb),
-                                   (log_secondary_throughput_fb,
-                                    secondary_throughput_fb)):
-                log_v = log_f(cfg, sensing, pol)
-                plain = plain_f(cfg, sensing, pol)
-                if isinstance(log_v, Unstable):
-                    assert isinstance(plain, Unstable)
-                    continue
-                assert math.exp(log_v) == pytest.approx(plain, rel=1e-10)
-
-    def test_log_silent_is_minus_inf(self, ref_cfg, ref_sensing):
-        assert log_secondary_throughput_nofb(ref_cfg, ref_sensing, SILENT) == -math.inf
 
 
 class TestPi0:

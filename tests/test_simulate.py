@@ -1,6 +1,9 @@
 """Slot-level Monte Carlo simulator: determinism, accounting, traces."""
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,13 @@ from softaccess import (
     NetworkConfig,
     Scheme,
     SimConfig,
+    SimReport,
     estimate_pi0,
     pi0_feedback,
     pi0_nofb,
     run,
     run_traced,
+    simulate,
 )
 
 MU_P_SILENT = 0.24379849734332582
@@ -233,3 +238,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(ref_cfg, ref_sensing, AccessPolicy((0.5, 0.5)),
                 SimConfig(**SMALL))
+
+
+class TestSingleRunPath:
+    @pytest.mark.parametrize("scheme,a,round_robin", [
+        (Scheme.FEEDBACK, (1.0, 0.3, 0.0, 0.0), False),
+        (Scheme.NO_FEEDBACK, (1.0, 0.3, 0.0, 0.0), False),
+        (Scheme.GENIE, (0.5,), False),
+        (Scheme.FEEDBACK, (1.0, 0.3, 0.0, 0.0), True),
+    ], ids=["fb", "nofb", "genie", "round_robin"])
+    def test_traced_report_is_the_run_report(self, ref_cfg, ref_sensing, monkeypatch,
+                                              scheme, a, round_robin):
+        # a small chunk makes the run cross two chunk boundaries
+        monkeypatch.setattr(simulate, "CHUNK", 5_000)
+        pol = AccessPolicy(a, scheme)
+        sim = SimConfig(slots=12_000, warmup=500, seed=21, replications=1,
+                        scheme=scheme, round_robin=round_robin)
+        report, trace = run_traced(ref_cfg, ref_sensing, pol, sim)
+        plain = run(ref_cfg, ref_sensing, pol, sim)
+        for field in dataclasses.fields(SimReport):
+            got, want = getattr(report, field.name), getattr(plain, field.name)
+            assert got == want or (math.isnan(got) and math.isnan(want)), field.name
+        _, again = run_traced(ref_cfg, ref_sensing, pol, sim)
+        assert trace.tobytes() == again.tobytes()
+        # every chunk lands in its own rows of the trace
+        assert estimate_pi0(trace, warmup=sim.warmup) == report.pi0_hat
