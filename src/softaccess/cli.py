@@ -18,7 +18,7 @@ from typing import Optional
 
 from .chain import SolveError
 from .model import NetworkConfig, Scheme, SensingConfig
-from .optimize import evaluate
+from .optimize import evaluate, solve_feedback, solve_nofb
 from .simulate import CapacityError, SimConfig, run
 
 __all__ = ["Experiment", "validate_config", "run_sweep", "sweep_rows", "main"]
@@ -213,7 +213,7 @@ def _point_rows(exp: Experiment, value: float):
         cfg = replace(exp.base, M_s=int(round(value)))
     rows = []
     for scheme in exp.schemes:
-        point = evaluate(cfg, exp.sensing, scheme)
+        point = evaluate(cfg, exp.sensing, scheme, fb_solver=solve_feedback, nofb_solver=solve_nofb)
         res = point.result
         row = {"sweep_value": float(value), "scheme": scheme.value,
                "feasible": res.feasible}

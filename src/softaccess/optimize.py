@@ -297,17 +297,19 @@ class Point:
     delay: float
 
 
-def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> Point:
+def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme, *,
+             fb_solver=None, nofb_solver=None) -> Point:
     """Optimize one scheme and evaluate its primary service rate, pi_0 and delay.
 
     The feedback queue is the chain of `chain_params`; every other
     scheme's queue is a Bernoulli server of rate mu_p, interference-free
-    for the genie.
+    for the genie. The CLI passes its own `solve_feedback`/`solve_nofb` as
+    `fb_solver`/`nofb_solver`, so a solver rebound on `cli` reaches the sweep.
     """
     if scheme is Scheme.FEEDBACK:
-        res, sens = solve_feedback(cfg, sensing), sensing
+        res, sens = (fb_solver or solve_feedback)(cfg, sensing), sensing
     elif scheme is Scheme.NO_FEEDBACK:
-        res, sens = solve_nofb(cfg, sensing), sensing
+        res, sens = (nofb_solver or solve_nofb)(cfg, sensing), sensing
     elif scheme is Scheme.HARD_DECISION:
         res, sens = baseline_hard_decision(cfg, sensing), hard_decision_sensing(sensing)
     else:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -178,6 +179,37 @@ class TestSweepRows:
     def test_output_path_required(self, small_exp):
         with pytest.raises(ValueError):
             run_sweep(small_exp)
+
+
+class TestSolverNames:
+    """The sweep calls the soft solvers through `cli.solve_feedback` and
+    `cli.solve_nofb`, where `perfbench/selfcheck.py` plants its faults."""
+
+    def test_rebound_nofb_solver_reaches_its_rows_only(self, small_exp, monkeypatch):
+        solve_nofb = cli.solve_nofb
+
+        def doubled(cfg, sensing):
+            res = solve_nofb(cfg, sensing)
+            return dataclasses.replace(res, objective=2.0 * res.objective)
+
+        clean = sweep_rows(small_exp)
+        monkeypatch.setattr(cli, "solve_nofb", doubled)
+        planted = sweep_rows(small_exp)
+        assert len(planted) == len(clean)
+        for before, after in zip(clean, planted):
+            if before["scheme"] == "nofb" and before["feasible"]:
+                assert after["mu_s"] == 2.0 * before["mu_s"]
+                assert after["a"] == before["a"]
+            else:
+                assert after == before
+
+    def test_rebound_feedback_solver_fault_escapes_the_sweep(self, small_exp, monkeypatch):
+        def raises(cfg, sensing):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "solve_feedback", raises)
+        with pytest.raises(RuntimeError, match="planted"):
+            sweep_rows(small_exp)
 
 
 class TestMain:
