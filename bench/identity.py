@@ -1,0 +1,173 @@
+"""Capture the outputs the package keeps bit-identical, and compare two captures.
+
+Usage (from the root of a source checkout):
+
+    python3 bench/identity.py --src /path/to/parent/checkout/src --out parent.json
+    python3 bench/identity.py --out change.json --against parent.json
+
+It imports softaccess from --src (default: this checkout's src/) and
+records, each under its own key:
+
+- for the four analytic_sweep configs (lambda = 0..0.25 step 0.005 at
+  n = 2, 4, 8; M_s = 1..10 at lambda = 0.1), a fine lambda grid at n = 6
+  and one small sim.* config: the resolved Experiment, the CLI exit code,
+  the sha256 of the CSV and .gp files and the repr of every sweep row;
+- on NETWORKS seeded random networks (n 1-8, M_s 1-10, lambda/delta_bar
+  near 0, near 1 or uniform): repr of `evaluate` for all four schemes,
+  plus `grid_search` (both soft schemes) and `kkt_residual_nofb` where n <= 3;
+- with the pure-Python kernel, the `run` and `run_traced` reports and the
+  sha256 of the trace bytes for fb, nofb, genie, hard and round-robin.
+
+An exception is recorded as its type and message. With --against FILE it
+exits 1 and names the first key whose value differs from FILE's, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+NETWORKS = 300
+GRID_STEP = 0.02
+_LAMBDAS = ", ".join(repr(i * 0.005) for i in range(51))
+CONFIGS = {
+    "n2": f"sensing.n = 2\nsweep.values = {_LAMBDAS}\n",
+    "n4": f"sensing.n = 4\nsweep.values = {_LAMBDAS}\n",
+    "n8": f"sensing.n = 8\nsweep.values = {_LAMBDAS}\n",
+    "ms": "network.lambda_p = 0.1\nsweep.variable = M_s\nsweep.values = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n",
+    "fine_n6": "sensing.n = 6\nsweep.start = 0\nsweep.stop = 0.25\nsweep.step = 0.0007\n",
+    "sim": ("sweep.values = 0.02, 0.14\nnetwork.omega_p = 0.4, 0.3, 0.2, 0.05\n"
+            "sim.slots = 3000\nsim.warmup = 300\nsim.replications = 2\nsim.seed = 7\n"),
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def capture(sa, workdir: Path) -> dict:
+    record = {}
+
+    def put(key, fn):
+        try:
+            record[key] = fn()
+        except Exception as exc:  # an exception is an output too
+            record[key] = f"raise {type(exc).__name__}: {exc}"
+
+    # sweeps through the CLI, capturing the full-precision rows run_sweep returns
+    orig_run_sweep = sa.cli.run_sweep
+    captured = []
+
+    def run_sweep(exp):
+        rows = orig_run_sweep(exp)
+        captured.append(rows)
+        return rows
+
+    sa.cli.run_sweep = run_sweep
+    try:
+        for key, text in CONFIGS.items():
+            conf, out = workdir / f"{key}.conf", workdir / f"{key}.csv"
+            conf.write_text(text, encoding="utf-8")
+            put(f"sweep/{key}/experiment", lambda: repr(sa.validate_config(str(conf))))
+            captured.clear()
+            put(f"sweep/{key}/exit", lambda: sa.cli.main(
+                ["sweep", "--config", str(conf), "--out", str(out)]))
+            put(f"sweep/{key}/csv", lambda: sha(out.read_bytes()))
+            put(f"sweep/{key}/gp", lambda: sha(out.with_suffix(".gp").read_bytes()))
+            for row in captured[0] if captured else ():
+                record[f"sweep/{key}/{row['sweep_value']!r}/{row['scheme']}"] = repr(row)
+    finally:
+        sa.cli.run_sweep = orig_run_sweep
+
+    schemes = tuple(sa.Scheme)
+    rng = np.random.default_rng(20120408)
+    for i in range(NETWORKS):
+        M_p = int(rng.integers(1, 7))
+        M_s = int(rng.integers(1, 11))
+        n = int(rng.integers(1, 9))
+        probe = sa.NetworkConfig(M_p=M_p, M_s=M_s, r_ps=float(rng.uniform(100.0, 250.0)))
+        delta_bar = (1.0 - sa.primary_outage(probe)) / M_p
+        kind = i % 3
+        if kind == 0:
+            ratio = float(10.0 ** rng.uniform(-9.0, -3.0))
+        elif kind == 1:
+            ratio = 1.0 - float(10.0 ** rng.uniform(-9.0, -3.0))
+        else:
+            ratio = float(rng.uniform(0.0, 1.0))
+        cfg = replace(probe, lambda_p=ratio * delta_bar)
+        sensing = sa.default_sensing(cfg, n=n, idle_tail=float(rng.uniform(0.02, 0.5)))
+        for scheme in schemes:
+            put(f"evaluate/{i}/{scheme.value}",
+                lambda: repr(sa.optimize.evaluate(cfg, sensing, scheme)))
+        if n <= 3:
+            for scheme in (sa.Scheme.FEEDBACK, sa.Scheme.NO_FEEDBACK):
+                put(f"grid/{i}/{scheme.value}", lambda: repr(
+                    sa.grid_search(cfg, sensing, scheme, step=GRID_STEP)))
+            res = sa.solve_nofb(cfg, sensing)
+            if res.feasible:
+                put(f"kkt/{i}", lambda: repr(sa.kkt_residual_nofb(cfg, sensing, res.policy)))
+
+    cfg = sa.NetworkConfig(lambda_p=0.1, omega_p=(0.3, 0.3, 0.2, 0.1))
+    sensing = sa.default_sensing(cfg)
+    cases = {
+        "fb": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=11),
+        "nofb": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=12),
+        "genie": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=13),
+        "hard": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=14),
+        "round_robin": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=15,
+                                    round_robin=True, scheme=sa.Scheme.FEEDBACK),
+    }
+    for label, sim in cases.items():
+        scheme = sim.scheme or sa.Scheme(label)
+        point = sa.optimize.evaluate(cfg, sensing, scheme)
+        policy = point.result.policy
+        put(f"run/{label}", lambda: repr(sa.run(cfg, point.sensing, policy, sim,
+                                                force_python=True)))
+        one = replace(sim, replications=1, slots=2000, warmup=200)
+
+        def traced_run():
+            report, trace = sa.run_traced(cfg, point.sensing, policy, one, force_python=True)
+            record[f"run_traced/{label}/trace"] = sha(trace.tobytes())
+            return repr(report)
+
+        put(f"run_traced/{label}", traced_run)
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory that holds the softaccess package to capture")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write the capture to")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="capture to compare with; exit 1 at the first differing key")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    sa = importlib.import_module("softaccess")
+    with tempfile.TemporaryDirectory() as tmp:
+        record = capture(sa, Path(tmp))
+    args.out.write_text(json.dumps(record, indent=0) + "\n", encoding="utf-8")
+    print(f"captured {len(record)} keys from {Path(sa.__file__).parent}")
+    if args.against is None:
+        return 0
+    other = json.loads(args.against.read_text(encoding="utf-8"))
+    for key in list(other) + [k for k in record if k not in other]:
+        if record.get(key, "<missing>") != other.get(key, "<missing>"):
+            print(f"differs at {key}:\n  {args.against}: {other.get(key, '<missing>')}\n"
+                  f"  {args.out}: {record.get(key, '<missing>')}")
+            return 1
+    print(f"identical to {args.against}: {len(record)} keys")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,12 +23,6 @@ from .simulate import CapacityError, SimConfig, run
 
 __all__ = ["Experiment", "validate_config", "run_sweep", "sweep_rows", "main"]
 
-_SCHEME_TOKENS = {
-    "fb": Scheme.FEEDBACK,
-    "nofb": Scheme.NO_FEEDBACK,
-    "hard": Scheme.HARD_DECISION,
-    "genie": Scheme.GENIE,
-}
 _DEFAULT_SCHEMES = (Scheme.FEEDBACK, Scheme.NO_FEEDBACK,
                     Scheme.HARD_DECISION, Scheme.GENIE)
 
@@ -86,15 +80,21 @@ def _parse_lines(path):
                 continue
             try:
                 if key in _INT_KEYS:
-                    values[key] = int(rhs)
+                    value = int(rhs)
                 elif key in _FLOAT_KEYS:
-                    values[key] = float(rhs)
+                    value = float(rhs)
                 elif key in _LIST_KEYS:
-                    values[key] = tuple(float(tok) for tok in rhs.split(",") if tok.strip())
+                    value = tuple(float(tok) for tok in rhs.split(",") if tok.strip())
                 else:
-                    values[key] = rhs
+                    value = rhs
             except ValueError:
                 diagnostics.append((key, f"cannot parse {rhs!r} (line {lineno})"))
+                continue
+            floats = (value,) if key in _FLOAT_KEYS else value if key in _LIST_KEYS else ()
+            if not all(map(math.isfinite, floats)):
+                diagnostics.append((key, f"must be finite (line {lineno})"))
+                continue
+            values[key] = value
     return values, diagnostics
 
 
@@ -105,12 +105,19 @@ def parse_schemes(text: str):
         tok = tok.strip()
         if not tok:
             continue
-        if tok not in _SCHEME_TOKENS:
-            raise ValueError(f"unknown scheme {tok!r} (expected fb, nofb, hard, genie)")
-        schemes.append(_SCHEME_TOKENS[tok])
+        try:
+            schemes.append(Scheme(tok))
+        except ValueError:
+            expected = ", ".join(s.value for s in _DEFAULT_SCHEMES)
+            raise ValueError(f"unknown scheme {tok!r} (expected {expected})") from None
     if not schemes:
         raise ValueError("schemes list is empty")
     return tuple(schemes)
+
+
+def _section(values, prefix: str) -> dict:
+    # "<prefix><field> = value" keys as keyword arguments of that section's config type
+    return {key[len(prefix):]: value for key, value in values.items() if key.startswith(prefix)}
 
 
 def validate_config(path):
@@ -123,10 +130,9 @@ def validate_config(path):
     values, diagnostics = _parse_lines(path)
 
     # every network.<field> key names a NetworkConfig field, except the dB threshold
-    net_kwargs = {key[len("network."):]: value for key, value in values.items()
-                  if key.startswith("network.") and key != "network.zeta_db"}
-    if "network.zeta_db" in values:
-        net_kwargs["zeta"] = 10.0 ** (values["network.zeta_db"] / 10.0)
+    net_kwargs = _section(values, "network.")
+    if "zeta_db" in net_kwargs:
+        net_kwargs["zeta"] = 10.0 ** (net_kwargs.pop("zeta_db") / 10.0)
     try:
         base = NetworkConfig(**net_kwargs)
     except (ValueError, TypeError) as exc:
@@ -188,14 +194,10 @@ def validate_config(path):
             diagnostics.append(("schemes", str(exc)))
 
     sim = None
-    if any(k.startswith("sim.") for k in values):
+    sim_kwargs = _section(values, "sim.")
+    if sim_kwargs:
         try:
-            sim = SimConfig(
-                slots=values.get("sim.slots", 1_000_000),
-                warmup=values.get("sim.warmup", 10_000),
-                seed=values.get("sim.seed", 0),
-                replications=values.get("sim.replications", 10),
-            )
+            sim = SimConfig(**sim_kwargs)
         except ValueError as exc:
             diagnostics.append(("sim", str(exc)))
 
@@ -357,7 +359,11 @@ def main(argv=None) -> int:
     if args.sim and sim is None:
         sim = SimConfig()
     if args.seed is not None and sim is not None:
-        sim = replace(sim, seed=args.seed)
+        try:
+            sim = replace(sim, seed=args.seed)
+        except ValueError as exc:
+            print(f"seed: {exc}", file=sys.stderr)
+            return 2
     exp = replace(exp, sim=sim, output_path=args.out)
 
     try:

@@ -43,14 +43,14 @@ class Scheme(Enum):
     GENIE = "genie"
 
 
-def clamp_probability(x: float, tol: float = CLAMP_TOL) -> float:
-    """Clamp x to [0, 1] when it is off by at most tol, raise otherwise."""
-    if -tol <= x < 0.0:
+def clamp_probability(x: float) -> float:
+    """Clamp x to [0, 1] when it is off by at most CLAMP_TOL, raise otherwise."""
+    if -CLAMP_TOL <= x < 0.0:
         return 0.0
-    if 1.0 < x <= 1.0 + tol:
+    if 1.0 < x <= 1.0 + CLAMP_TOL:
         return 1.0
     if x < 0.0 or x > 1.0:
-        raise ValueError(f"probability {x!r} outside [0,1] beyond tolerance {tol}")
+        raise ValueError(f"probability {x!r} outside [0,1] beyond tolerance {CLAMP_TOL}")
     return x
 
 
@@ -108,10 +108,8 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if self.zeta < 0.0:
             raise ValueError("zeta must be nonnegative")
-        if self.omega_p is None:
-            object.__setattr__(self, "omega_p", (1.0 / self.M_p,) * self.M_p)
-        else:
-            object.__setattr__(self, "omega_p", tuple(float(w) for w in self.omega_p))
+        omega = (1.0 / self.M_p,) * self.M_p if self.omega_p is None else self.omega_p
+        object.__setattr__(self, "omega_p", tuple(float(w) for w in omega))
         if len(self.omega_p) != self.M_p:
             raise ValueError("omega_p must have length M_p")
         if any(w < 0.0 for w in self.omega_p):
@@ -232,12 +230,9 @@ def bin_probabilities(eta: float, n: int, sigma_sq: float) -> np.ndarray:
     return tail[:-1] - tail[1:]
 
 
-def joint_access_probability(policy, bins) -> float:
-    """Probability of landing in some bin and gaining access: sum_i p_i * a_i.
-
-    policy may be an AccessPolicy or a bare vector of access probabilities.
-    """
-    a = np.asarray(getattr(policy, "a", policy), dtype=float)
+def joint_access_probability(policy: AccessPolicy, bins) -> float:
+    """Probability of landing in some bin and gaining access: sum_i p_i * a_i."""
+    a = np.asarray(policy.a, dtype=float)
     p = np.asarray(bins, dtype=float)
     if a.shape != p.shape:
         raise ValueError(f"length mismatch: policy has {a.size} entries, bins {p.size}")

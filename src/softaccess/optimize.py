@@ -11,6 +11,12 @@ in i for exponential bins, so that policy is a greedy prefix
 (1,..,1,theta,0,..,0), and both problems collapse to a one-dimensional
 search over b along that frontier.
 
+The frontier is stated once, by the prefix sums prefix0 and prefix1 of
+p0 and p1: segment k spans b in [prefix1[k], prefix1[k+1]], where s0 =
+prefix0[k] + (b - prefix1[k]) p_k^0/p_k^1. The ALOHA stop, the search
+segments and the policy at the best budget are all read off those two
+arrays.
+
 One frontier search serves both schemes. A scheme supplies only its
 log pi_0 as a function of b and the largest b at which its queue stays
 stable. Inside each frontier segment s0 is linear in b; a bounded Brent
@@ -35,11 +41,10 @@ from .chain import delay_fb, delay_nofb
 from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
+    _delta_bar,
     _log_aloha_factor,
     chain_params,
     pi0_feedback,
-    pi0_nofb,
-    primary_outage,
     primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
@@ -73,53 +78,6 @@ def _infeasible(scheme: Scheme, n: int) -> OptResult:
     return OptResult(policy=policy, objective=0.0, feasible=False, iterations=0)
 
 
-def _fill_budget(p0: np.ndarray, p1: np.ndarray, budget: float):
-    """Greedy prefix policy spending at most `budget` of s1 mass.
-
-    Bins come pre-sorted by decreasing p_i^0/p_i^1, which for exponential
-    bins is their natural order. Returns (a, s0, s1); s1 equals the budget
-    exactly whenever the budget binds before the bins run out.
-    """
-    n = p0.size
-    a = np.zeros(n)
-    s0 = 0.0
-    s1 = 0.0
-    for i in range(n):
-        if s1 + p1[i] <= budget:
-            a[i] = 1.0
-            s0 += p0[i]
-            s1 += p1[i]
-        else:
-            theta = (budget - s1) / p1[i]
-            if theta > 0.0:
-                a[i] = theta
-                s0 += theta * p0[i]
-                s1 = budget
-            break
-    return a, s0, s1
-
-
-def _fill_target_s0(p0: np.ndarray, p1: np.ndarray, target: float):
-    """Greedy prefix policy reaching s0 = target with minimal s1 spend."""
-    n = p0.size
-    a = np.zeros(n)
-    s0 = 0.0
-    s1 = 0.0
-    for i in range(n):
-        if s0 + p0[i] <= target:
-            a[i] = 1.0
-            s0 += p0[i]
-            s1 += p1[i]
-        else:
-            theta = (target - s0) / p0[i]
-            if theta > 0.0:
-                a[i] = theta
-                s0 = target
-                s1 += theta * p1[i]
-            break
-    return a, s0, s1
-
-
 def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
     """Best greedy-prefix policy of a soft scheme (FEEDBACK or NO_FEEDBACK).
 
@@ -127,11 +85,15 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
     and needs w > lambda/delta_bar; the feedback queue has
     pi_0 = (chi - lambda)/delta_bar with chi = lambda*delta_bar*w + (1-lambda)*delta_bar
     and needs w > (lambda - (1-lambda)*delta_bar)/(lambda*delta_bar).
+
+    The search ends where s0 reaches 1/M_s or the queue loses stability;
+    that stop and the policy at the best budget b, k full bins plus
+    (b - prefix1[k]) / p_k^1 of bin k, are both searchsorted on the prefix sums.
     """
     n = sensing.n
     lam = cfg.lambda_p
     M_s = cfg.M_s
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
+    delta_bar = _delta_bar(cfg)
     if lam >= delta_bar:
         return _infeasible(scheme, n)
     p0 = sensing.p0()
@@ -156,16 +118,18 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
             return math.log1p(-lam / mu_p) if lam > 0.0 else 0.0
         throughput = secondary_throughput_nofb
 
-    # budget never worth pushing past the aloha stationary point or stability
-    if M_s > 1:
-        _, _, b_target = _fill_target_s0(p0, p1, 1.0 / M_s)
-    else:
-        b_target = float(p1.sum())
-    b_stab = 1.0 - w_floor ** (1.0 / M_s)
-    hi = min(float(p1.sum()), b_target, b_stab * (1.0 - 1e-12))
-
     prefix0 = np.concatenate([[0.0], np.cumsum(p0)])
     prefix1 = np.concatenate([[0.0], np.cumsum(p1)])
+    # budget never worth pushing past the aloha stationary point s0 = 1/M_s or stability
+    stop = int(np.searchsorted(prefix0[1:], 1.0 / M_s, side="right"))
+    if M_s == 1:
+        b_target = float(p1.sum())
+    elif stop < n:  # s0 reaches 1/M_s inside bin `stop`
+        b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
+    else:
+        b_target = prefix1[n]
+    b_stab = 1.0 - w_floor ** (1.0 / M_s)
+    hi = min(float(p1.sum()), b_target, b_stab * (1.0 - 1e-12))
 
     def log_objective(b: float, seg: int) -> float:
         # s0 along the frontier is linear inside segment `seg`
@@ -189,7 +153,12 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
                 best_val = val
                 best_b = b
 
-    a, _, _ = _fill_budget(p0, p1, best_b)
+    # full bins while their s1 fits in best_b, then the partial bin k
+    k = int(np.searchsorted(prefix1[1:], best_b, side="right"))
+    a = np.zeros(n)
+    a[:k] = 1.0
+    if k < n:
+        a[k] = (best_b - prefix1[k]) / p1[k]
     policy = AccessPolicy(tuple(a), scheme)
     objective = throughput(cfg, sensing, policy)
     if isinstance(objective, Unstable):  # can only happen at degenerate zero headroom
@@ -230,7 +199,7 @@ def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: Access
     a = np.asarray(policy.a)
     lam = cfg.lambda_p
     M_s = cfg.M_s
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
+    delta_bar = _delta_bar(cfg)
     clear_sd = 1.0 - secondary_outage(cfg)
     s0 = float(p0 @ a)
     s1 = float(p1 @ a)
@@ -271,7 +240,7 @@ def baseline_genie(cfg: NetworkConfig) -> OptResult:
     it (mu_p is the interference-free (1-P_pd)/M_p) and contend only among
     themselves with the symmetric ALOHA optimum a = 1/M_s.
     """
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
+    delta_bar = _delta_bar(cfg)
     if cfg.lambda_p >= delta_bar:
         return _infeasible(Scheme.GENIE, 1)
     a_star = 1.0 / cfg.M_s
@@ -318,18 +287,10 @@ def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme, *,
         return Point(res, sens, math.nan, math.nan, math.nan)
     if scheme is Scheme.FEEDBACK:
         params = chain_params(cfg, sens, res.policy)
-        mu_p = params.gamma_p
-        pi0 = float(pi0_feedback(cfg, sens, res.policy))
-        delay = float(delay_fb(params, cfg.lambda_p))
-    elif scheme is Scheme.GENIE:
-        mu_p = (1.0 - primary_outage(cfg)) / cfg.M_p
-        pi0 = 1.0 - cfg.lambda_p / mu_p
-        delay = float(delay_nofb(cfg.lambda_p, mu_p))
-    else:
-        mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
-        pi0 = float(pi0_nofb(cfg, sens, res.policy))
-        delay = float(delay_nofb(cfg.lambda_p, mu_p))
-    return Point(res, sens, mu_p, pi0, delay)
+        return Point(res, sens, params.gamma_p, float(pi0_feedback(cfg, sens, res.policy)),
+                     float(delay_fb(params, cfg.lambda_p)))
+    mu_p = _delta_bar(cfg) if sens is None else primary_service_rate_nofb(cfg, sens, res.policy)
+    return Point(res, sens, mu_p, 1.0 - cfg.lambda_p / mu_p, float(delay_nofb(cfg.lambda_p, mu_p)))
 
 
 def grid_search(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme,
@@ -352,20 +313,15 @@ def grid_search(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme,
     s0 = A @ p0
     s1 = A @ p1
     lam = cfg.lambda_p
-    delta_bar = (1.0 - primary_outage(cfg)) / cfg.M_p
+    delta_bar = _delta_bar(cfg)
     clear_sd = 1.0 - secondary_outage(cfg)
-    w = (1.0 - s1) ** cfg.M_s
-    if scheme is Scheme.FEEDBACK:
-        gamma_p = delta_bar * w
-        chi = lam * gamma_p + (1.0 - lam) * delta_bar
-        stable = chi > lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pi0 = (chi - lam) / delta_bar
-    else:
-        mu_p = delta_bar * w
-        stable = mu_p > lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pi0 = 1.0 - lam / mu_p
+    mu_p = delta_bar * (1.0 - s1) ** cfg.M_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scheme is Scheme.FEEDBACK:
+            chi = lam * mu_p + (1.0 - lam) * delta_bar
+            stable, pi0 = chi > lam, (chi - lam) / delta_bar
+        else:
+            stable, pi0 = mu_p > lam, 1.0 - lam / mu_p
     obj = np.where(stable, pi0 * clear_sd * s0 * (1.0 - s0) ** (cfg.M_s - 1), -np.inf)
     if not stable.any():
         return None

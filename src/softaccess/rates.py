@@ -95,6 +95,11 @@ def secondary_outage(cfg: NetworkConfig) -> float:
     return outage_probability(cfg.G_s, cfg.r_sd, cfg.gamma, cfg.zeta, cfg.N_0)
 
 
+def _delta_bar(cfg: NetworkConfig) -> float:
+    # per-slot service probability of a primary retransmission: own the slot, clear link
+    return (1.0 - primary_outage(cfg)) / cfg.M_p
+
+
 def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> ChainParams:
     """Assemble ChainParams from raw per-slot probabilities."""
     if not 0.0 <= gamma_p <= 1.0 or not 0.0 <= delta <= 1.0:
@@ -114,9 +119,8 @@ def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> Ch
 
 def chain_params(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> ChainParams:
     """ChainParams for a concrete network, detector and access policy."""
-    p_pd = primary_outage(cfg)
     s1 = joint_access_probability(policy, sensing.p1())
-    base = (1.0 - p_pd) / cfg.M_p
+    base = _delta_bar(cfg)
     gamma_p = base * (1.0 - s1) ** cfg.M_s
     return chain_params_from_rates(gamma_p, 1.0 - base, cfg.lambda_p)
 
@@ -174,9 +178,13 @@ def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) 
     return cfg.lambda_p * (1.0 - params.gamma_p) / params.gamma_p * bracket
 
 
-def _aloha_factor(s0: float, M_s: int) -> float:
+def _throughput(pi0: RateValue, cfg: NetworkConfig, sensing: SensingConfig,
+                policy: AccessPolicy) -> RateValue:
     # one tagged secondary transmits, the other M_s-1 stay silent
-    return s0 * (1.0 - s0) ** (M_s - 1)
+    if isinstance(pi0, Unstable):
+        return pi0
+    s0 = joint_access_probability(policy, sensing.p0())
+    return pi0 * (1.0 - secondary_outage(cfg)) * (s0 * (1.0 - s0) ** (cfg.M_s - 1))
 
 
 def secondary_throughput_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -186,11 +194,7 @@ def secondary_throughput_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy
     Returns Unstable when lambda_p >= mu_p, since the Little's-law pi_0 is
     meaningless there.
     """
-    pi0 = pi0_nofb(cfg, sensing, policy)
-    if isinstance(pi0, Unstable):
-        return pi0
-    s0 = joint_access_probability(policy, sensing.p0())
-    return pi0 * (1.0 - secondary_outage(cfg)) * _aloha_factor(s0, cfg.M_s)
+    return _throughput(pi0_nofb(cfg, sensing, policy), cfg, sensing, policy)
 
 
 def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -198,11 +202,7 @@ def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: 
 
     Same product as the no-feedback formula with the feedback pi_0.
     """
-    pi0 = pi0_feedback(cfg, sensing, policy)
-    if isinstance(pi0, Unstable):
-        return pi0
-    s0 = joint_access_probability(policy, sensing.p0())
-    return pi0 * (1.0 - secondary_outage(cfg)) * _aloha_factor(s0, cfg.M_s)
+    return _throughput(pi0_feedback(cfg, sensing, policy), cfg, sensing, policy)
 
 
 def _log_aloha_factor(s0: float, M_s: int) -> float:

@@ -215,8 +215,7 @@ def _resolve(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig):
         scale_idle = 2.0 * sensing.sigma0_sq * sensing.n / sensing.eta
         scale_busy = 2.0 * sensing.sigma1_sq * sensing.n / sensing.eta
         n_bins = sensing.n
-    omega = cfg.omega_p if cfg.omega_p is not None else (1.0 / cfg.M_p,) * cfg.M_p
-    cum_omega = np.cumsum(np.asarray(omega, dtype=np.float64))
+    cum_omega = np.cumsum(np.asarray(cfg.omega_p, dtype=np.float64))
     return scheme_id, a_vec, a_genie, scale_idle, scale_busy, n_bins, cum_omega
 
 

@@ -127,6 +127,13 @@ class TestValidateConfig:
         ("sensing.idle_tail = 1.5\n", "sensing.idle_tail"),
         ("sim.replications = 0\n", "sim"),
         ("just some words\n", "line 1"),
+        ("sweep.step = nan\n", "sweep.step"),
+        ("sweep.stop = inf\n", "sweep.stop"),
+        ("sweep.variable = M_s\nsweep.values = inf\n", "sweep.values"),
+        ("sweep.variable = M_s\nsweep.values = nan\n", "sweep.values"),
+        ("sensing.eta = nan\n", "sensing.eta"),
+        ("network.zeta_db = nan\n", "network.zeta_db"),
+        ("network.omega_p = nan, 0.25, 0.25, 0.25\n", "network.omega_p"),
     ])
     def test_diagnostics_name_the_field(self, tmp_path, text, field):
         result = validate_config(write_config(tmp_path, text))
@@ -354,6 +361,14 @@ class TestMain:
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--seed", "99"]) == 0
         assert read_rows(out)[0]["seed"] == "99"
+
+    def test_sweep_negative_seed_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--sim", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("seed:")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_ms_sweep_values_render_clean(self, tmp_path):
         cfg = write_config(tmp_path, """
