@@ -15,8 +15,11 @@ records, each under its own key:
 - on NETWORKS seeded random networks (n 1-8, M_s 1-10, lambda/delta_bar
   near 0, near 1 or uniform): repr of `evaluate` for all four schemes,
   plus `grid_search` (both soft schemes) and `kkt_residual_nofb` where n <= 3;
-- with the pure-Python kernel, the `run` and `run_traced` reports and the
-  sha256 of the trace bytes for fb, nofb, genie, hard and round-robin.
+- with force_python, the `run` and `run_traced` reports and the sha256
+  of the trace bytes for fb, nofb, genie, hard and round-robin;
+- the sha256 of the `--sim` CSV of each mc_validate invocation (fb and
+  nofb apart) at seeds 1-3, through perfbench/workloads.py's own
+  MCValidate at its FULL sizes.
 
 An exception is recorded as its type and message. With --against FILE it
 exits 1 and names the first key whose value differs from FILE's, else 0.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -47,6 +51,7 @@ CONFIGS = {
     "sim": ("sweep.values = 0.02, 0.14\nnetwork.omega_p = 0.4, 0.3, 0.2, 0.05\n"
             "sim.slots = 3000\nsim.warmup = 300\nsim.replications = 2\nsim.seed = 7\n"),
 }
+MC_SEEDS = (1, 2, 3)
 
 
 def sha(data: bytes) -> str:
@@ -139,6 +144,22 @@ def capture(sa, workdir: Path) -> dict:
             return repr(report)
 
         put(f"run_traced/{label}", traced_run)
+
+    # the benchmark's own mc_validate config and CLI calls; workloads.py
+    # imports the softaccess already loaded from --src
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in MC_SEEDS:
+        mc_dir = workdir / f"mc{seed}"
+        mc_dir.mkdir()
+        mc = workloads.MCValidate(seed, mc_dir, workloads.FULL)
+        for scheme, code, exc, _ in mc.execute():
+            record[f"mc_validate/{seed}/{scheme}/exit"] = (
+                code if exc is None else f"raise {type(exc).__name__}: {exc}")
+            put(f"mc_validate/{seed}/{scheme}/csv",
+                lambda: sha((mc_dir / f"mc_{scheme}.csv").read_bytes()))
     return record
 
 

@@ -3,9 +3,12 @@
 The simulator realizes the joint dynamics the analytic formulas describe:
 TDMA-scheduled primaries with Bernoulli arrivals, backlogged secondaries
 doing soft energy-based access, Rayleigh outages, and the retransmission
-feedback loop. One kernel serves every scheme; it is compiled with numba
-when available and falls back to the identical pure-Python body on the
-same pre-drawn random streams, so both paths produce identical output.
+feedback loop. Each run draws its random streams chunk by chunk, and one
+chunk step serves every scheme. With numba importable it is the slot loop
+`_sim_chunk`, compiled. Without numba, or with `force_python`, it is
+`_sim_chunk_arrays`, which computes the same chunk with whole-array NumPy
+operations. Both give identical output on the same draws; the tests hold
+the array step against the uncompiled slot loop.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -15,7 +18,9 @@ returns the primary to the first-transmission phase.
 """
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +30,8 @@ from .model import AccessPolicy, NetworkConfig, Scheme
 from .rates import primary_outage, secondary_outage
 
 __all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced", "estimate_pi0"]
+
+_log = logging.getLogger(__name__)
 
 CAP = 1 << 16  # ring buffer slots per primary queue
 CHUNK = 1 << 17
@@ -195,6 +202,145 @@ except ImportError:  # pragma: no cover
     _sim_chunk_jit = None
 
 
+def _access(e_draws, acc_u, a_vec, n_bins, scale):
+    """Secondary access decisions for every slot and secondary at one energy scale."""
+    x = e_draws * scale
+    inside = x < n_bins  # int(x) < n_bins for x >= 0, with no int64 overflow
+    pa = np.where(inside, a_vec[np.where(inside, x, 0.0).astype(np.int64)], 0.0)
+    return (pa > 0.0) & (acc_u < pa)
+
+
+def _feedback_departures(owner, arrive, first_ok, clear, q0, r0):
+    """Which primary departs in which slot under feedback, by one pass over owned slots.
+
+    A backlogged owner is in the first-transmission phase when its queue
+    was empty at the previous slot's start or it was served in that slot;
+    it is served on `first_ok` then and on `clear` in retransmission.
+    """
+    L, M_p = arrive.shape
+    dep = np.zeros((L, M_p), dtype=bool)
+    for q in range(M_p):
+        owned = np.flatnonzero(owner == q)
+        a_q = arrive[:, q]
+        # arrivals-only queue at the start of each owned slot and of the slot
+        # before it; the queue itself is that less the nd departures so far
+        at = int(q0[q]) + np.cumsum(a_q)[owned] - a_q[owned]
+        prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
+        nd, last, served = 0, -2, []
+        for i, k, k_prev, f_ok, c_ok in zip(owned.tolist(), at.tolist(), prev.tolist(),
+                                            first_ok[owned].tolist(), clear[owned].tolist()):
+            if k == nd:  # empty at slot start
+                continue
+            if i == 0:
+                first = r0[q] == 0
+            else:
+                first = last == i - 1 or k_prev == nd
+            if f_ok if first else c_ok:
+                served.append(i)
+                nd += 1
+                last = i
+        dep[served, q] = True
+    return dep
+
+
+def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
+                      queue, phase, buf, head,
+                      a_vec, n_bins, scheme, lam, clear_pd, clear_sd,
+                      scale_idle, scale_busy, a_genie, M_p, M_s, warmup,
+                      stats, arr_cnt, dep_cnt,
+                      trace_on, tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb):
+    """`_sim_chunk` on whole arrays: the same arguments, state updates and trace.
+
+    Every secondary decision is taken for all slots under both the idle
+    and the busy scale, so the primaries interact only through the owner
+    sequence. Without feedback each queue is then the integer Lindley
+    recursion Q(t+1) = max(Q(t) - e(t), 0) + a(t), solved by a cumulative
+    sum and a running maximum (Lindley 1952; Asmussen, Applied Probability
+    and Queues, ch. III). With feedback the service flag depends on the
+    phase, and `_feedback_departures` walks the owned slots.
+    """
+    rows = np.arange(L)
+    if scheme == 2:
+        idle_acc = (a_genie > 0.0) & (acc_u < a_genie)
+        busy_acc = np.zeros((L, M_s), dtype=bool)
+    else:
+        idle_acc = _access(e_draws, acc_u, a_vec, n_bins, scale_idle)
+        busy_acc = _access(e_draws, acc_u, a_vec, n_bins, scale_busy)
+    n_idle = idle_acc.sum(axis=1)
+    n_busy = busy_acc.sum(axis=1)
+    clear = pu_u < clear_pd
+    first_ok = clear & (n_busy == 0)
+    arrive = arr_u < lam
+
+    # Q[t] is every queue at slot t's start (Q[L] at the chunk's end), R[t]
+    # its retransmission phase and dep[t] who departed in slot t
+    q0 = queue.copy()
+    steps = np.zeros((L + 1, M_p), dtype=np.int64)
+    if scheme == 1:
+        dep = _feedback_departures(owner, arrive, first_ok, clear, q0, phase)
+        np.cumsum(arrive, axis=0, out=steps[1:])
+        steps[1:] -= np.cumsum(dep, axis=0)
+        Q = q0 + steps
+        R = np.empty((L + 1, M_p), dtype=bool)
+        R[0] = phase == 1
+        R[1:] = (Q[:-1] > 0) & ~dep
+    else:
+        e = (owner[:, None] == np.arange(M_p)) & first_ok[:, None]
+        np.cumsum(arrive.astype(np.int64) - e, axis=0, out=steps[1:])
+        idle_gap = np.zeros((L + 1, M_p), dtype=np.int64)
+        np.maximum.accumulate(e - q0 - steps[:-1], axis=0, out=idle_gap[1:])
+        Q = q0 + steps + np.maximum(idle_gap, 0)
+        dep = e & (Q[:-1] > 0)
+        R = np.zeros((L + 1, M_p), dtype=bool)  # phases stay F without feedback
+    if (Q[1:] > CAP).any():
+        stats[7] = 1
+    Qs, Rs = Q[:-1], R[:-1]
+
+    in_range = owner < M_p
+    own = np.where(in_range, owner, 0)
+    busy = in_range & (Qs[rows, own] > 0)
+    idle = ~busy
+    silent = busy & Rs[rows, own]  # nonzero under feedback only
+    served = dep.any(axis=1)
+    lone_clear = su_u[rows, idle_acc.argmax(axis=1)] < clear_sd
+    p = min(L, max(0, warmup - t0))  # first post-warmup slot of the chunk
+    stats[0] += np.count_nonzero((idle & (n_idle == 1) & lone_clear)[p:])
+    stats[1] += np.count_nonzero(((Qs > 0) & ~Rs)[p:])
+    stats[2] += np.count_nonzero((served & ~silent)[p:])
+    stats[3] += np.count_nonzero(idle[p:])
+    stats[4] += np.count_nonzero((busy & ~silent & (n_busy > 0) | idle & (n_idle > 1))[p:])
+
+    # FIFO: the k-th departure takes the k-th of the pending and new arrivals
+    for q in range(M_p):
+        d_at = np.flatnonzero(dep[:, q]) + t0
+        a_at = np.flatnonzero(arrive[:, q]) + t0
+        n_old = min(int(q0[q]), d_at.size)
+        old = buf[q, (head[q] + np.arange(n_old)) % CAP]
+        delay = d_at - np.concatenate((old, a_at[:d_at.size - n_old]))
+        post = d_at >= warmup
+        stats[5] += np.count_nonzero(post)
+        stats[6] += delay[post].sum()
+        # arrival number m of the replication lives at ring position m % CAP
+        first = head[q] + q0[q]
+        keep = min(a_at.size, CAP)
+        buf[q, (first + np.arange(a_at.size - keep, a_at.size)) % CAP] = a_at[a_at.size - keep:]
+        head[q] += d_at.size
+        arr_cnt[q] += a_at.size
+        dep_cnt[q] += d_at.size
+    queue[:] = Q[L]
+    phase[:] = R[L]
+
+    if trace_on:
+        tr_owner[:] = owner
+        tr_q[:] = Qs
+        tr_rmask[:] = Rs @ (1 << np.arange(M_p))
+        su = np.where(busy[:, None], busy_acc & ~silent[:, None], idle_acc)
+        tr_sumask[:] = su @ (1 << np.arange(M_s))
+        tr_outcome[:] = np.select([served, busy, n_idle == 1, n_idle > 1],
+                                  [1, 2, np.where(lone_clear, 3, 5), 4], 0)
+        tr_fb[:] = np.select([served, busy], [1, 2], 0)
+
+
 def _resolve(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig):
     scheme = sim.scheme or policy.scheme
     scheme_id = _SCHEME_ID[scheme]
@@ -284,7 +430,9 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     records no trace.
     """
     parts = _resolve(cfg, sensing, policy, sim)
-    kernel = _sim_chunk if (force_python or _sim_chunk_jit is None) else _sim_chunk_jit
+    numba = _sim_chunk_jit is not None and not force_python
+    kernel = _sim_chunk_jit if numba else _sim_chunk_arrays
+    start = time.perf_counter()
     trace = (np.zeros(traced_slots, np.int64), np.zeros((traced_slots, cfg.M_p), np.int64),
              *(np.zeros(traced_slots, np.int64) for _ in range(4)))
     span = sim.slots - sim.warmup
@@ -317,6 +465,9 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
         final_backlog=tuple(int(x) for x in backlog),
         seed_used=sim.seed, replications=sim.replications, slots=sim.slots,
     )
+    _log.debug("%s path: %d slots x %d replications in %.3f s",
+               "numba" if numba else "array", sim.slots, sim.replications,
+               time.perf_counter() - start)
     return report, trace
 
 

@@ -16,11 +16,12 @@ from softaccess import (
     Scheme,
     default_sensing,
     main,
+    primary_outage,
     run_sweep,
     sweep_rows,
     validate_config,
 )
-from softaccess import CapacityError, SolveError, cli
+from softaccess import CapacityError, SolveError, cli, simulate
 from softaccess.cli import parse_schemes
 
 
@@ -408,3 +409,18 @@ class TestExitCodes:
             cfg.write_text(text, encoding="utf-8")
             code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out.csv")])
         assert code in (0, 2, 3)
+
+    def test_simulator_capacity_exits_two(self, tmp_path, capsys, monkeypatch):
+        # near the stability boundary a shrunken ring buffer fills within the run
+        monkeypatch.setattr(simulate, "CAP", 8)
+        ref = NetworkConfig()
+        lam = 0.98 * (1.0 - primary_outage(ref)) / ref.M_p
+        cfg = write_config(tmp_path, f"sweep.values = {lam!r}\nsim.slots = 5000\n"
+                                     "sim.warmup = 500\nsim.replications = 1\n")
+        for scheme in ("fb", "nofb"):
+            code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                         "--sim", "--schemes", scheme])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("sweep: CapacityError:")

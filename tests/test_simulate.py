@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -9,13 +10,16 @@ import pytest
 
 from softaccess import (
     AccessPolicy,
+    CapacityError,
     NetworkConfig,
     Scheme,
     SimConfig,
     SimReport,
+    default_sensing,
     estimate_pi0,
     pi0_feedback,
     pi0_nofb,
+    primary_outage,
     run,
     run_traced,
     simulate,
@@ -263,3 +267,95 @@ class TestSingleRunPath:
         assert trace.tobytes() == again.tobytes()
         # every chunk lands in its own rows of the trace
         assert estimate_pi0(trace, warmup=sim.warmup) == report.pi0_hat
+
+    def test_one_debug_record_names_the_path(self, ref_cfg, ref_sensing, caplog):
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), Scheme.FEEDBACK)
+        sim = SimConfig(slots=2_000, warmup=100, seed=2, replications=2)
+        with caplog.at_level(logging.DEBUG, logger=simulate.__name__):
+            run(ref_cfg, ref_sensing, pol, sim, force_python=True)
+        records = [r for r in caplog.records if r.name == simulate.__name__]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        assert records[0].getMessage().startswith("array path: 2000 slots x 2 replications in ")
+
+
+class TestArrayChunk:
+    """The array chunk step against the slot loop it replaces, on the same draws."""
+
+    KINDS = {
+        "fb": (Scheme.FEEDBACK, Scheme.FEEDBACK),
+        "nofb": (Scheme.NO_FEEDBACK, Scheme.NO_FEEDBACK),
+        "hard": (Scheme.HARD_DECISION, Scheme.HARD_DECISION),
+        "genie": (Scheme.GENIE, Scheme.GENIE),
+        "fb_policy_nofb_sim": (Scheme.FEEDBACK, Scheme.NO_FEEDBACK),
+    }
+    CONFIGS_PER_CASE = 12
+
+    @staticmethod
+    def draw_case(rng, policy_scheme, sim_scheme):
+        M_p = int(rng.integers(1, 6))
+        M_s = int(rng.integers(1, 5))
+        omega = None
+        if rng.random() < 0.5:
+            # below 1 in sum: some slots belong to no primary (owner >= M_p)
+            omega = tuple(float(w) for w in rng.dirichlet(np.ones(M_p))
+                          * rng.uniform(0.5, 1.0))
+        probe = NetworkConfig(M_p=M_p, M_s=M_s, omega_p=omega,
+                              r_ps=float(rng.uniform(80.0, 250.0)))
+        delta_bar = (1.0 - primary_outage(probe)) / M_p
+        # up to past the stability edge, so that queues build across chunks
+        cfg = dataclasses.replace(probe, lambda_p=min(1.0, float(rng.uniform(0.0, 1.3) * delta_bar)))
+        n = 1 if sim_scheme is Scheme.HARD_DECISION else int(rng.integers(1, 6))
+        sensing = default_sensing(cfg, n=n, idle_tail=float(rng.uniform(0.02, 0.5)))
+        size = 1 if sim_scheme is Scheme.GENIE else n
+        a = rng.choice([0.0, 1.0, -1.0], size=size, p=[0.2, 0.2, 0.6])
+        a = np.where(a < 0, rng.random(size), a)
+        slots = int(rng.integers(2_000, 9_000))
+        warmup = 0 if rng.random() < 0.4 else int(rng.integers(1, slots))
+        sim = SimConfig(slots=slots, warmup=warmup, seed=int(rng.integers(0, 2**31)),
+                        replications=1, scheme=sim_scheme,
+                        round_robin=bool(rng.random() < 0.25))
+        return cfg, sensing, AccessPolicy(tuple(a), policy_scheme), sim
+
+    @staticmethod
+    def run_one(kernel, cfg, sensing, policy, sim):
+        trace = (np.zeros(sim.slots, np.int64), np.zeros((sim.slots, cfg.M_p), np.int64),
+                 *(np.zeros(sim.slots, np.int64) for _ in range(4)))
+        rng = np.random.default_rng(sim.seed)
+        parts = simulate._resolve(cfg, sensing, policy, sim)
+        out = simulate._run_one(kernel, rng, cfg, sim, trace, *parts)
+        return [x.copy() for x in out], trace
+
+    @pytest.mark.parametrize("chunk", [997, 4_096])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_matches_slot_loop(self, monkeypatch, chunk, kind):
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        rng = np.random.default_rng([chunk, list(self.KINDS).index(kind)])
+        for i in range(self.CONFIGS_PER_CASE):
+            case = self.draw_case(rng, *self.KINDS[kind])
+            want, want_trace = self.run_one(simulate._sim_chunk, *case)
+            got, got_trace = self.run_one(simulate._sim_chunk_arrays, *case)
+            for name, g, w in zip(("stats", "arrivals", "departures", "queue"), got, want):
+                assert np.array_equal(g, w), (i, name, case)
+            for g, w in zip(got_trace, want_trace):
+                assert g.tobytes() == w.tobytes(), (i, case)
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("scheme", [Scheme.FEEDBACK, Scheme.NO_FEEDBACK])
+    def test_raises_exactly_past_the_ring(self, ref_cfg, ref_sensing, monkeypatch, scheme):
+        # overloaded: the queues grow through several chunks
+        monkeypatch.setattr(simulate, "CHUNK", 997)
+        cfg = dataclasses.replace(ref_cfg, lambda_p=0.3)
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), scheme)
+        sim = SimConfig(slots=5_000, warmup=500, seed=3, replications=1, scheme=scheme)
+        report, trace = run_traced(cfg, ref_sensing, pol, sim)
+        peak = max(int(trace["queues"].max()), *report.final_backlog)
+        assert 0 < 2 * peak < sum(report.arrivals) / cfg.M_p
+        # a ring exactly as long as the longest queue wraps and changes nothing
+        monkeypatch.setattr(simulate, "CAP", peak)
+        full_report, full_trace = run_traced(cfg, ref_sensing, pol, sim)
+        assert repr(full_report) == repr(report)
+        assert full_trace.tobytes() == trace.tobytes()
+        monkeypatch.setattr(simulate, "CAP", peak - 1)
+        with pytest.raises(CapacityError):
+            run(cfg, ref_sensing, pol, sim)
