@@ -278,8 +278,7 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     steps = np.zeros((L + 1, M_p), dtype=np.int64)
     if scheme == 1:
         dep = _feedback_departures(owner, arrive, first_ok, clear, q0, phase)
-        np.cumsum(arrive, axis=0, out=steps[1:])
-        steps[1:] -= np.cumsum(dep, axis=0)
+        np.cumsum(arrive.astype(np.int64) - dep, axis=0, out=steps[1:])
         Q = q0 + steps
         R = np.empty((L + 1, M_p), dtype=bool)
         R[0] = phase == 1
@@ -321,9 +320,9 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
         stats[5] += np.count_nonzero(post)
         stats[6] += delay[post].sum()
         # arrival number m of the replication lives at ring position m % CAP
-        first = head[q] + q0[q]
+        seen = head[q] + q0[q]
         keep = min(a_at.size, CAP)
-        buf[q, (first + np.arange(a_at.size - keep, a_at.size)) % CAP] = a_at[a_at.size - keep:]
+        buf[q, (seen + np.arange(a_at.size - keep, a_at.size)) % CAP] = a_at[a_at.size - keep:]
         head[q] += d_at.size
         arr_cnt[q] += a_at.size
         dep_cnt[q] += d_at.size

@@ -303,7 +303,8 @@ class TestArrayChunk:
                               r_ps=float(rng.uniform(80.0, 250.0)))
         delta_bar = (1.0 - primary_outage(probe)) / M_p
         # up to past the stability edge, so that queues build across chunks
-        cfg = dataclasses.replace(probe, lambda_p=min(1.0, float(rng.uniform(0.0, 1.3) * delta_bar)))
+        lam = min(1.0, float(rng.uniform(0.0, 1.3) * delta_bar))
+        cfg = dataclasses.replace(probe, lambda_p=lam)
         n = 1 if sim_scheme is Scheme.HARD_DECISION else int(rng.integers(1, 6))
         sensing = default_sensing(cfg, n=n, idle_tail=float(rng.uniform(0.02, 0.5)))
         size = 1 if sim_scheme is Scheme.GENIE else n
