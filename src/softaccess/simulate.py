@@ -88,6 +88,8 @@ class SimReport:
     slots: int
 
 
+# The slot loop is numba's source and the reference the tests hold
+# `_sim_chunk_arrays` against.
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
 # 4 collisions, 5 delay_cnt, 6 delay_sum, 7 overflow flag
 def _sim_chunk(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
