@@ -31,6 +31,7 @@ and primary-queue formulas; the CLI and the acceptance tests read it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -297,33 +298,63 @@ def grid_search(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme,
                 step: float = 0.01):
     """Exhaustive oracle over the a-grid; None when no grid point is stable.
 
-    Intended for n <= 3 (the grid has (1/step+1)^n points). Returns
-    (a, objective) for the best stable grid point.
+    Returns (a, objective) for the best stable point of the grid with
+    (1/step+1)^n points, a_i = 0, step, 2*step, ..., 1; step must be
+    finite and in (0, 1]. The grid is evaluated in blocks: the mesh of
+    the last two coordinates is built once, (1/step+1)^2 rows whatever n
+    is, and each value of the leading n-2 coordinates, in grid order, is
+    written into its leading columns in turn. Every block reuses the same
+    row buffers, so the working set stays in cache. A block's best
+    replaces the running best only when strictly greater, so ties go to
+    the first grid point, as a single argmax over the whole grid would
+    give. Grids over 4,000,000 points are refused, which bounds the time
+    of a search.
     """
     if scheme is Scheme.GENIE:
         raise ValueError("grid_search covers sensing-based schemes only")
+    if not (math.isfinite(step) and 0.0 < step <= 1.0):
+        raise ValueError(f"step must be finite and in (0, 1], got {step}")
     n = sensing.n
     axis = np.arange(0.0, 1.0 + step / 2.0, step)
     if axis.size ** n > 4_000_000:
         raise ValueError("grid too large; use n <= 3 or a coarser step")
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    A = np.stack([m.ravel() for m in mesh], axis=1)
+    lead = max(n - 2, 0)
+    mesh = np.meshgrid(*([axis] * (n - lead)), indexing="ij")
+    A = np.empty((mesh[0].size, n))
+    A[:, lead:] = np.stack([m.ravel() for m in mesh], axis=1)
     p0 = sensing.p0()
     p1 = sensing.p1()
-    s0 = A @ p0
-    s1 = A @ p1
     lam = cfg.lambda_p
     delta_bar = _delta_bar(cfg)
     clear_sd = 1.0 - secondary_outage(cfg)
-    mu_p = delta_bar * (1.0 - s1) ** cfg.M_s
+    best_a, best_obj = None, -np.inf
+    s0, s1, mu_p, obj = (np.empty(A.shape[0]) for _ in range(4))
+    stable = np.empty(A.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if scheme is Scheme.FEEDBACK:
-            chi = lam * mu_p + (1.0 - lam) * delta_bar
-            stable, pi0 = chi > lam, (chi - lam) / delta_bar
-        else:
-            stable, pi0 = mu_p > lam, 1.0 - lam / mu_p
-    obj = np.where(stable, pi0 * clear_sd * s0 * (1.0 - s0) ** (cfg.M_s - 1), -np.inf)
-    if not stable.any():
-        return None
-    best = int(np.argmax(obj))
-    return A[best].copy(), float(obj[best])
+        for head in itertools.product(axis, repeat=lead):
+            A[:, :lead] = head
+            np.matmul(A, p0, out=s0)
+            np.matmul(A, p1, out=s1)
+            np.subtract(1.0, s1, out=mu_p)
+            mu_p **= cfg.M_s
+            mu_p *= delta_bar                   # mu_p = delta_bar (1 - s1)^M_s
+            if scheme is Scheme.FEEDBACK:
+                np.multiply(lam, mu_p, out=obj)
+                obj += (1.0 - lam) * delta_bar  # chi
+                np.greater(obj, lam, out=stable)
+                obj -= lam
+                obj /= delta_bar                # pi0 = (chi - lam) / delta_bar
+            else:
+                np.greater(mu_p, lam, out=stable)
+                np.divide(lam, mu_p, out=obj)
+                np.subtract(1.0, obj, out=obj)  # pi0 = 1 - lam / mu_p
+            obj *= clear_sd
+            obj *= s0
+            np.subtract(1.0, s0, out=s1)        # s1 is spent; reuse it
+            s1 **= cfg.M_s - 1
+            obj *= s1                           # pi0 (1 - P_sd) s0 (1 - s0)^(M_s - 1)
+            np.copyto(obj, -np.inf, where=~stable)
+            best = int(np.argmax(obj))
+            if obj[best] > best_obj:  # a stable row's objective is finite, never -inf
+                best_a, best_obj = A[best].copy(), float(obj[best])
+    return None if best_a is None else (best_a, best_obj)

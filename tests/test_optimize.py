@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +195,37 @@ class TestBaselines:
         assert not res.feasible
 
 
+def dense_grid(cfg, sensing, scheme, step):
+    """The one-shot grid oracle: every grid row at once, -inf at unstable rows."""
+    axis = np.arange(0.0, 1.0 + step / 2.0, step)
+    mesh = np.meshgrid(*([axis] * sensing.n), indexing="ij")
+    A = np.stack([m.ravel() for m in mesh], axis=1)
+    s0 = A @ sensing.p0()
+    s1 = A @ sensing.p1()
+    lam = cfg.lambda_p
+    db = delta_bar(cfg)
+    mu_p = db * (1.0 - s1) ** cfg.M_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scheme is Scheme.FEEDBACK:
+            chi = lam * mu_p + (1.0 - lam) * db
+            stable, pi0 = chi > lam, (chi - lam) / db
+        else:
+            stable, pi0 = mu_p > lam, 1.0 - lam / mu_p
+    clear_sd = 1.0 - secondary_outage(cfg)
+    return A, np.where(stable, pi0 * clear_sd * s0 * (1.0 - s0) ** (cfg.M_s - 1), -np.inf)
+
+
+def assert_matches_dense(cfg, sensing, scheme, step):
+    A, obj = dense_grid(cfg, sensing, scheme, step)
+    got = grid_search(cfg, sensing, scheme, step=step)
+    if not np.isfinite(obj).any():
+        assert got is None
+        return
+    best = int(np.argmax(obj))
+    assert np.array_equal(got[0], A[best])
+    assert got[1] == float(obj[best])
+
+
 class TestGridSearch:
     def test_none_when_nothing_stable(self, ref_sensing):
         cfg = NetworkConfig(lambda_p=0.25)
@@ -207,6 +239,54 @@ class TestGridSearch:
     def test_rejects_genie(self, ref_cfg, ref_sensing):
         with pytest.raises(ValueError):
             grid_search(ref_cfg, ref_sensing, Scheme.GENIE)
+
+    @pytest.mark.parametrize("step", [-0.1, 0.0, math.nan, math.inf, 2.0])
+    def test_rejects_step_outside_unit_interval(self, ref_cfg, step):
+        sensing = default_sensing(ref_cfg, n=2)
+        with pytest.raises(ValueError, match="step"):
+            grid_search(ref_cfg, sensing, Scheme.NO_FEEDBACK, step=step)
+
+    def test_blocks_match_dense_grid(self):
+        rng = np.random.default_rng(2024)
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                cfg, sensing = sample_network(rng, n=n)
+                for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
+                    assert_matches_dense(cfg, sensing, scheme, 0.05)
+
+    def test_blocks_match_dense_grid_at_fine_step(self):
+        cfg, sensing = sample_network(np.random.default_rng(11), n=3)
+        for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
+            assert_matches_dense(cfg, sensing, scheme, 0.01)
+
+    def test_blocks_match_dense_grid_near_stability_edge(self):
+        cfg, sensing = sample_network(np.random.default_rng(14), n=3, lam_frac=0.97)
+        for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
+            _, obj = dense_grid(cfg, sensing, scheme, 0.05)
+            stable_per_block = np.isfinite(obj).reshape(21, -1).sum(axis=1)
+            # stable rows end inside a block, and later blocks have none
+            assert ((stable_per_block > 0) & (stable_per_block < 21 * 21)).any()
+            assert stable_per_block[-1] == 0
+            assert_matches_dense(cfg, sensing, scheme, 0.05)
+
+    def test_blocks_match_dense_grid_when_nothing_stable(self):
+        cfg = NetworkConfig(lambda_p=0.25)
+        sensing = default_sensing(cfg, n=3)
+        for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
+            assert not np.isfinite(dense_grid(cfg, sensing, scheme, 0.05)[1]).any()
+            assert grid_search(cfg, sensing, scheme, step=0.05) is None
+
+    def test_ties_go_to_the_first_grid_point(self):
+        # bins 1 and 2 alike, so (x, y, z) and (y, x, z) tie exactly across blocks
+        sensing = SimpleNamespace(n=3, p0=lambda: np.array([0.3, 0.3, 0.2]),
+                                  p1=lambda: np.array([0.1, 0.1, 0.5]))
+        cfg = NetworkConfig(lambda_p=0.02, M_s=2)
+        for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
+            A, obj = dense_grid(cfg, sensing, scheme, 0.05)
+            a, best = grid_search(cfg, sensing, scheme, step=0.05)
+            twin = np.flatnonzero((A == [a[1], a[0], a[2]]).all(axis=1))
+            assert a[0] < a[1] and obj[twin] == [best]
+            assert_matches_dense(cfg, sensing, scheme, 0.05)
 
     def test_single_bin_matches_solver(self, ref_cfg, ref_sensing):
         sensing = hard_decision_sensing(ref_sensing)
