@@ -33,6 +33,7 @@ from softaccess import (
     solve_nofb,
     stability,
 )
+from softaccess.optimize import _aligned_empty
 
 from conftest import sample_network
 
@@ -287,6 +288,13 @@ class TestGridSearch:
             twin = np.flatnonzero((A == [a[1], a[0], a[2]]).all(axis=1))
             assert a[0] < a[1] and obj[twin] == [best]
             assert_matches_dense(cfg, sensing, scheme, 0.05)
+
+    @pytest.mark.parametrize("shape, dtype", [((10201, 3), float), (10201, float),
+                                              (10201, bool), (1, float)])
+    def test_row_buffers_start_on_a_cache_line(self, shape, dtype):
+        buf = _aligned_empty(shape, dtype)
+        assert buf.ctypes.data % 64 == 0 and buf.flags.c_contiguous and buf.flags.writeable
+        assert buf.shape == np.empty(shape).shape and buf.dtype == np.dtype(dtype)
 
     def test_single_bin_matches_solver(self, ref_cfg, ref_sensing):
         sensing = hard_decision_sensing(ref_sensing)
