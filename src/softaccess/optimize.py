@@ -302,7 +302,7 @@ def _aligned_empty(shape, dtype=np.float64):
     vector loops run about 8% slower over buffers that miss the boundary.
     """
     dtype = np.dtype(dtype)
-    nbytes = math.prod(np.atleast_1d(shape)) * dtype.itemsize
+    nbytes = int(np.prod(shape)) * dtype.itemsize
     raw = np.empty(nbytes + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + nbytes].view(dtype).reshape(shape)
