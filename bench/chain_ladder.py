@@ -15,7 +15,7 @@ once as a failure with its time to failure. The result goes under
 sides[<side>] of the --out file, keeping the other sides already there,
 so two checkouts of the package can be compared on one machine. The ladder's
 lambda_p comes from perfbench/workloads.py. The process pins itself to
-one allowed CPU, as perfbench/run.py does.
+one allowed CPU before it imports numpy.
 """
 from __future__ import annotations
 
@@ -28,6 +28,12 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+# Pin before importing numpy: sched_setaffinity(0, ...) pins only the
+# calling thread, and a thread takes its creator's mask when it starts, so
+# the BLAS threads numpy starts at import are pinned only if this runs first.
+if __name__ == "__main__" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 import numpy as np
 import scipy
@@ -70,8 +76,6 @@ def main(argv=None) -> int:
                         help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(args.src).resolve()))
     sa = importlib.import_module("softaccess")
     sys.path.insert(1, str(ROOT / "perfbench"))

@@ -16,7 +16,7 @@ it records the wall seconds, the minor page faults and the system time
 the median of each over the passes, plus a sha256 of every result so two
 sides can be checked for equal outputs. The result goes under
 sides[<side>] of the --out file, keeping the other sides already there.
-The process pins itself to one allowed CPU, as perfbench/run.py does.
+The process pins itself to one allowed CPU before it imports numpy.
 """
 from __future__ import annotations
 
@@ -31,6 +31,12 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+# Pin before importing numpy: sched_setaffinity(0, ...) pins only the
+# calling thread, and a thread takes its creator's mask when it starts, so
+# the BLAS threads numpy starts at import are pinned only if this runs first.
+if __name__ == "__main__" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 import numpy as np
 import scipy
@@ -65,8 +71,6 @@ def main(argv=None) -> int:
                         help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(1, str(ROOT))
     sa = importlib.import_module("softaccess")

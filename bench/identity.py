@@ -15,8 +15,8 @@ records, each under its own key:
 - on NETWORKS seeded random networks (n 1-8, M_s 1-10, lambda/delta_bar
   near 0, near 1 or uniform): repr of `evaluate` for all four schemes,
   plus `grid_search` (both soft schemes) and `kkt_residual_nofb` where n <= 3;
-- with force_python, the `run` and `run_traced` reports and the sha256
-  of the trace bytes for fb, nofb, genie, hard and round-robin;
+- the `run` and `run_traced` reports and the sha256 of the trace bytes
+  for fb, nofb, genie, hard and round-robin;
 - the sha256 of the `--sim` CSV of each mc_validate invocation (fb and
   nofb apart) at seeds 1-3, through perfbench/workloads.py's own
   MCValidate at its FULL sizes.
@@ -134,12 +134,11 @@ def capture(sa, workdir: Path) -> dict:
         scheme = sim.scheme or sa.Scheme(label)
         point = sa.optimize.evaluate(cfg, sensing, scheme)
         policy = point.result.policy
-        put(f"run/{label}", lambda: repr(sa.run(cfg, point.sensing, policy, sim,
-                                                force_python=True)))
+        put(f"run/{label}", lambda: repr(sa.run(cfg, point.sensing, policy, sim)))
         one = replace(sim, replications=1, slots=2000, warmup=200)
 
         def traced_run():
-            report, trace = sa.run_traced(cfg, point.sensing, policy, one, force_python=True)
+            report, trace = sa.run_traced(cfg, point.sensing, policy, one)
             record[f"run_traced/{label}/trace"] = sha(trace.tobytes())
             return repr(report)
 

@@ -16,7 +16,7 @@ simulated slot and the sha256 of the report's repr, after one untimed
 2,000-slot warm-up run of each scheme. The result goes under
 sides[<side>] of the --out file, keeping the other sides already there,
 so two checkouts of the package can be compared on one machine. The
-process pins itself to one allowed CPU, as perfbench/run.py does.
+process pins itself to one allowed CPU before it imports numpy.
 """
 from __future__ import annotations
 
@@ -30,6 +30,12 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+# Pin before importing numpy: sched_setaffinity(0, ...) pins only the
+# calling thread, and a thread takes its creator's mask when it starts, so
+# the BLAS threads numpy starts at import are pinned only if this runs first.
+if __name__ == "__main__" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 import numpy as np
 
@@ -51,8 +57,6 @@ def main(argv=None) -> int:
                         help="JSON file to record into; other entries in it are kept")
     args = parser.parse_args(argv)
 
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(args.src).resolve()))
     sa = importlib.import_module("softaccess")
 

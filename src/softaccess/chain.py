@@ -8,10 +8,10 @@ gamma_p and any failure (collision, outage, or not owning the slot) moves
 the head to R; a retransmission succeeds with probability 1 - delta and
 secondaries stay off it. Closed-form stationary probabilities exist for
 psi < 1; an independent numeric solve serves as the cross-oracle. It
-truncates the chain at backlog K, builds the labeled transitions as
-sparse triplets and solves the banded balance equations with one sparse
-LU factorization, which reaches any psi whose default truncation K stays
-within the 1e5 cap (psi up to about 0.9997).
+truncates the chain at backlog K, takes the sparse transition matrix of
+`transition_matrix` and solves the banded balance equations with one
+sparse LU factorization, which reaches any psi whose default truncation K
+stays within the 1e5 cap (psi up to about 0.9997).
 
 Flat state indexing used by the numeric path: [F_0 .. F_K, R_1 .. R_K].
 """
@@ -135,12 +135,12 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
                              tail_mass=float(tail_mass), tail_mean=float(tail_mean), stable=True)
 
 
-def _transition_triplets(params: ChainParams, lambda_p: float, K: int):
-    """Labeled transitions of the truncated chain as (rows, cols, vals) arrays.
+def transition_matrix(params: ChainParams, lambda_p: float, K: int) -> sparse.csr_array:
+    """Row-stochastic transition matrix of the truncated chain, a `scipy.sparse.csr_array`.
 
     States are indexed [F_0 .. F_K, R_1 .. R_K]; mass that would leave the
-    truncation from level K is reflected back into level K, so the two
-    level-K rows repeat a (row, col) pair that assembly must sum.
+    truncation from level K is reflected back into level K, so P stores
+    8K entries. `.toarray()` gives a dense view.
     """
     if K < 2:
         raise ValueError("truncation K must be at least 2")
@@ -151,34 +151,25 @@ def _transition_triplets(params: ChainParams, lambda_p: float, K: int):
     d = params.delta
     d_bar = 1.0 - d
 
-    k = np.arange(1, K + 1)
-    F_down, F_k = k - 1, k
-    R_k, R_up = K + k, K + np.minimum(k + 1, K)
-    # from F_0, then from F_k and R_k for k >= 1, one block per label
-    rows = np.concatenate([[0, 0], np.tile(F_k, 4), np.tile(R_k, 4)])
-    cols = np.concatenate([[1, 0], F_down, F_k, R_k, R_up, F_down, F_k, R_k, R_up])
-    probs = [lam_bar * g, lam * g, lam_bar * g_bar, lam * g_bar,
-             lam_bar * d_bar, lam * d_bar, lam_bar * d, lam * d]
-    vals = np.concatenate([[lam, lam_bar], np.repeat(probs, K)])
-    return rows, cols, vals
-
-
-def transition_matrix(params: ChainParams, lambda_p: float, K: int) -> np.ndarray:
-    """Dense row-stochastic transition matrix of the truncated chain.
-
-    States are indexed [F_0 .. F_K, R_1 .. R_K]; mass that would leave the
-    truncation from level K is reflected back into level K.
-    """
-    rows, cols, vals = _transition_triplets(params, lambda_p, K)
     n = 2 * K + 1
-    return sparse.coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
+    # row F_0 moves to (F_0, F_1); rows F_1 .. F_K, then R_1 .. R_K, move
+    # to (F_(k-1), F_k, R_k, R_(k+1)), with R_(K+1) reflected to R_K
+    k = np.arange(1, K + 1)
+    cols = np.minimum(np.stack([k - 1, k, K + k, K + k + 1], axis=1), 2 * K).ravel()
+    vals = np.repeat([[lam_bar * g, lam * g, lam_bar * g_bar, lam * g_bar],
+                      [lam_bar * d_bar, lam * d_bar, lam_bar * d, lam * d]], K, axis=0)
+    P = sparse.csr_array((np.concatenate([[lam_bar, lam], vals.ravel()]),
+                          np.concatenate([[0, 1], cols, cols]),
+                          np.concatenate([[0], np.arange(2, 8 * K + 3, 4)])), shape=(n, n))
+    P.sum_duplicates()  # the reflected pair of each level-K row
+    return P
 
 
 def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = None) -> ChainDistribution:
     """Stationary distribution of the truncated chain, solved numerically.
 
-    Independent oracle for the closed form: builds the labeled transition
-    structure directly and solves the balance equations x (P - I) = 0 in
+    Independent oracle for the closed form: takes P from
+    `transition_matrix` and solves the balance equations x (P - I) = 0 in
     one sparse LU solve, with the F_0 equation replaced by the pin
     x[F_0] = 1 and the result normalized afterwards. The chain only moves
     between neighbouring backlog levels, so the system is banded and the
@@ -198,20 +189,22 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
     if lam > 0.0 and params.psi > 0.0 and params.psi ** K >= 1e-12:
         raise ValueError(f"K={K} too small: psi^K = {params.psi ** K:.3e} >= 1e-12")
 
-    rows, cols, vals = _transition_triplets(params, lam, K)
-    n = 2 * K + 1
-    # A = P^T - I with row F_0 swapped for the pin; a dense normalization
+    P = transition_matrix(params, lam, K)
+    n = P.shape[0]
+    # A = P^T - I, whose CSC columns are P's CSR rows, with row F_0 swapped
+    # for the pin (P's first entry is F_0 -> F_0); a dense normalization
     # row would fill in the LU factors
-    keep = cols != 0
-    diag = np.arange(1, n)
-    A = sparse.csc_array((np.concatenate([vals[keep], np.full(n - 1, -1.0), [1.0]]),
-                          (np.concatenate([cols[keep], diag, [0]]),
-                           np.concatenate([rows[keep], diag, [0]]))), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    data = P.data - (P.indices == rows)
+    keep = P.indices != 0
+    data[0], keep[0] = 1.0, True
+    A = sparse.csc_array((data[keep], P.indices[keep],
+                          np.concatenate([[0], np.cumsum(keep)[P.indptr[1:] - 1]])), shape=(n, n))
     b = np.zeros(n)
     b[0] = 1.0
     x = spsolve(A, b)
     x /= x.sum()
-    residual = float(np.abs(np.bincount(cols, weights=x[rows] * vals, minlength=n) - x).max())
+    residual = float(np.abs(x @ P - x).max())
     if not residual <= 1e-10:  # also catches the NaNs of a singular system
         raise SolveError(f"stationary solve ill-conditioned: residual {residual:.3e}")
 

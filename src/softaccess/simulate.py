@@ -5,10 +5,10 @@ TDMA-scheduled primaries with Bernoulli arrivals, backlogged secondaries
 doing soft energy-based access, Rayleigh outages, and the retransmission
 feedback loop. Each run draws its random streams chunk by chunk, and one
 chunk step serves every scheme. With numba importable it is the slot loop
-`_sim_chunk`, compiled. Without numba, or with `force_python`, it is
-`_sim_chunk_arrays`, which computes the same chunk with whole-array NumPy
-operations. Both give identical output on the same draws; the tests hold
-the array step against the uncompiled slot loop.
+`_sim_chunk`, compiled. Without numba it is `_sim_chunk_arrays`, which
+computes the same chunk with whole-array NumPy operations. Both give
+identical output on the same draws; the tests hold each against the
+uncompiled slot loop.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -89,7 +89,7 @@ class SimReport:
 
 
 # The slot loop is numba's source and the reference the tests hold
-# `_sim_chunk_arrays` against.
+# both chunk steps against.
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
 # 4 collisions, 5 delay_cnt, 6 delay_sum, 7 overflow flag
 def _sim_chunk(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
@@ -423,7 +423,7 @@ def _mean_se(values):
 
 
 def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
-              force_python: bool, traced_slots: int):
+              traced_slots: int):
     """Run every replication; return the report and the trace columns.
 
     The six trace columns (owner, queues, retransmission mask, secondary
@@ -431,7 +431,7 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     records no trace.
     """
     parts = _resolve(cfg, sensing, policy, sim)
-    numba = _sim_chunk_jit is not None and not force_python
+    numba = _sim_chunk_jit is not None
     kernel = _sim_chunk_jit if numba else _sim_chunk_arrays
     start = time.perf_counter()
     trace = (np.zeros(traced_slots, np.int64), np.zeros((traced_slots, cfg.M_p), np.int64),
@@ -473,18 +473,18 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
 
 
 def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
-        sim: SimConfig | None = None, force_python: bool = False) -> SimReport:
+        sim: SimConfig | None = None) -> SimReport:
     """Simulate and report point estimates with across-replication SEs.
 
     Replications use independent spawned seed streams, so the report is a
     deterministic function of (inputs, seed). SEs are nan at one
     replication.
     """
-    return _simulate(cfg, sensing, policy, sim or SimConfig(), force_python, 0)[0]
+    return _simulate(cfg, sensing, policy, sim or SimConfig(), 0)[0]
 
 
 def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
-               sim: SimConfig | None = None, force_python: bool = False):
+               sim: SimConfig | None = None):
     """Single-replication run returning (report, per-slot trace).
 
     The report is the one `run` gives for the same inputs. The trace
@@ -497,7 +497,7 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     sim = sim or SimConfig()
     if sim.replications != 1:
         raise ValueError("run_traced requires replications == 1")
-    report, columns = _simulate(cfg, sensing, policy, sim, force_python, sim.slots)
+    report, columns = _simulate(cfg, sensing, policy, sim, sim.slots)
     dtype = np.dtype([
         ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (cfg.M_p,)),
         ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),

@@ -36,7 +36,6 @@ from softaccess import (
     sweep_rows,
     transition_matrix,
 )
-from softaccess.chain import _transition_triplets
 
 from conftest import load_ratio_lambda, sample_network, sample_stable_params
 
@@ -89,12 +88,9 @@ class TestCriterion2ChainCrossValidation:
         numeric = numeric_distribution(params, lam, K=K)
         assert np.max(np.abs(closed.pi - numeric.pi)) <= 1e-9
         assert np.max(np.abs(closed.eps - numeric.eps)) <= 1e-9
-        # x @ P from the labeled transitions: a dense P takes 8*(2K+1)^2
-        # bytes, 33 GB at psi = 0.999
         x = np.concatenate([closed.pi, closed.eps[1:]])
-        rows, cols, vals = _transition_triplets(params, lam, K)
-        xP = np.bincount(cols, weights=x[rows] * vals, minlength=x.size)
-        assert np.max(np.abs(xP - x)) <= 1e-12
+        P = transition_matrix(params, lam, K)
+        assert np.max(np.abs(x @ P - x)) <= 1e-12
         direct = delay_fb(params, lam)
         assert abs(littles_law_delay(numeric, lam) - direct) / direct <= 1e-6
 

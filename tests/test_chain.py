@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from softaccess import (
     SolveError,
@@ -19,7 +20,6 @@ from softaccess import (
     transition_matrix,
 )
 from softaccess import chain
-from softaccess.chain import _transition_triplets
 from softaccess.model import AccessPolicy
 
 from conftest import load_ratio_lambda, sample_stable_params
@@ -184,16 +184,37 @@ class TestTransitionMatrix:
             P = transition_matrix(params, lam, 40)
             assert P.shape == (81, 81)
             assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
-            assert np.all(P >= 0.0)
+            assert P.min() >= 0.0
 
-    def test_dense_view_of_triplets(self):
-        rng = np.random.default_rng(37)
-        for K in (2, 3, 40, 257):
-            params, lam = sample_stable_params(rng)
-            rows, cols, vals = _transition_triplets(params, lam, K)
-            dense = np.zeros((2 * K + 1, 2 * K + 1))
-            np.add.at(dense, (rows, cols), vals)
-            assert np.array_equal(transition_matrix(params, lam, K), dense)
+    def test_labeled_transitions_at_k2(self):
+        # dyadic rates keep every product and sum exact
+        lam, g, d = 0.125, 0.25, 0.625
+        lb, gb, db = 1.0 - lam, 1.0 - g, 1.0 - d
+        P = transition_matrix(chain_params_from_rates(g, d, lam), lam, 2)
+        # states F_0, F_1, F_2, R_1, R_2; level 2 reflects its up-moves
+        # into R_2, so the last column of rows F_2 and R_2 sums two labels
+        want = np.array([
+            [lb, lam, 0.0, 0.0, 0.0],
+            [lb * g, lam * g, 0.0, lb * gb, lam * gb],
+            [0.0, lb * g, lam * g, 0.0, lb * gb + lam * gb],
+            [lb * db, lam * db, 0.0, lb * d, lam * d],
+            [0.0, lb * db, lam * db, 0.0, lb * d + lam * d],
+        ])
+        assert isinstance(P, sparse.csr_array)
+        assert P.nnz == 16
+        assert np.array_equal(P.toarray(), want)
+
+    def test_heavy_load_stays_sparse(self):
+        # a dense P at psi = 0.999 would take 8*(2K+1)^2 bytes, 33 GB
+        lam = load_ratio_lambda(0.999)
+        params = chain_params_from_rates(0.2, 0.75, lam)
+        K = default_truncation(params.psi)
+        assert K == 32_221
+        P = transition_matrix(params, lam, K)
+        # 8K+2 labeled transitions, two pairs of them summed at level K
+        assert P.nnz == 8 * K
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
+        assert P.min() >= 0.0
 
     def test_truncation_validation(self):
         params = chain_params_from_rates(0.3, 0.6, 0.1)

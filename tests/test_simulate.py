@@ -74,17 +74,6 @@ class TestDeterminism:
                 SimConfig(seed=5, scheme=Scheme.FEEDBACK, **SMALL))
         assert a != b
 
-    def test_python_fallback_matches_kernel(self, ref_cfg, ref_sensing):
-        small = dict(slots=4_000, warmup=400, replications=2)
-        for scheme, a in ((Scheme.FEEDBACK, (1.0, 0.5, 0.2, 0.0)),
-                          (Scheme.NO_FEEDBACK, (1.0, 0.5, 0.2, 0.0)),
-                          (Scheme.GENIE, (0.5,))):
-            pol = AccessPolicy(a, scheme)
-            sim = SimConfig(seed=11, scheme=scheme, **small)
-            fast = run(ref_cfg, ref_sensing, pol, sim)
-            slow = run(ref_cfg, ref_sensing, pol, sim, force_python=True)
-            assert fast == slow
-
 
 class TestSilentPolicy:
     def test_reference_rates(self, ref_cfg, ref_sensing):
@@ -272,14 +261,15 @@ class TestSingleRunPath:
         pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), Scheme.FEEDBACK)
         sim = SimConfig(slots=2_000, warmup=100, seed=2, replications=2)
         with caplog.at_level(logging.DEBUG, logger=simulate.__name__):
-            run(ref_cfg, ref_sensing, pol, sim, force_python=True)
+            run(ref_cfg, ref_sensing, pol, sim)
+        path = "array" if simulate._sim_chunk_jit is None else "numba"
         records = [r for r in caplog.records if r.name == simulate.__name__]
         assert [r.levelno for r in records] == [logging.DEBUG]
-        assert records[0].getMessage().startswith("array path: 2000 slots x 2 replications in ")
+        assert records[0].getMessage().startswith(f"{path} path: 2000 slots x 2 replications in ")
 
 
 class TestArrayChunk:
-    """The array chunk step against the slot loop it replaces, on the same draws."""
+    """Each chunk step `run` can take against the uncompiled slot loop, on the same draws."""
 
     KINDS = {
         "fb": (Scheme.FEEDBACK, Scheme.FEEDBACK),
@@ -326,15 +316,20 @@ class TestArrayChunk:
         out = simulate._run_one(kernel, rng, cfg, sim, trace, *parts)
         return [x.copy() for x in out], trace
 
+    @pytest.mark.parametrize("kernel", ["_sim_chunk_arrays", "_sim_chunk_jit"],
+                             ids=["array", "numba"])
     @pytest.mark.parametrize("chunk", [997, 4_096])
     @pytest.mark.parametrize("kind", list(KINDS))
-    def test_matches_slot_loop(self, monkeypatch, chunk, kind):
+    def test_matches_slot_loop(self, monkeypatch, chunk, kind, kernel):
+        step = getattr(simulate, kernel)
+        if step is None:
+            pytest.skip("numba is not installed")
         monkeypatch.setattr(simulate, "CHUNK", chunk)
         rng = np.random.default_rng([chunk, list(self.KINDS).index(kind)])
         for i in range(self.CONFIGS_PER_CASE):
             case = self.draw_case(rng, *self.KINDS[kind])
             want, want_trace = self.run_one(simulate._sim_chunk, *case)
-            got, got_trace = self.run_one(simulate._sim_chunk_arrays, *case)
+            got, got_trace = self.run_one(step, *case)
             for name, g, w in zip(("stats", "arrivals", "departures", "queue"), got, want):
                 assert np.array_equal(g, w), (i, name, case)
             for g, w in zip(got_trace, want_trace):
