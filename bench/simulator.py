@@ -101,7 +101,6 @@ def main(argv=None) -> int:
     })
     bench.setdefault("sides", {})[args.side] = {
         "numpy": np.__version__,
-        "numba_kernel": getattr(sa.simulate, "_sim_chunk_jit", None) is not None,
         "simulator": record,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")

@@ -99,17 +99,20 @@ def _parse_lines(path):
 
 
 def parse_schemes(text: str):
-    """Map a comma list of scheme tokens to Scheme members; raises on unknowns."""
+    """Map a comma list of scheme tokens to Scheme members; raises on unknowns and repeats."""
     schemes = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            schemes.append(Scheme(tok))
+            scheme = Scheme(tok)
         except ValueError:
             expected = ", ".join(s.value for s in _DEFAULT_SCHEMES)
             raise ValueError(f"unknown scheme {tok!r} (expected {expected})") from None
+        if scheme in schemes:
+            raise ValueError(f"scheme {tok!r} is listed twice")
+        schemes.append(scheme)
     if not schemes:
         raise ValueError("schemes list is empty")
     return tuple(schemes)

@@ -4,11 +4,9 @@ The simulator realizes the joint dynamics the analytic formulas describe:
 TDMA-scheduled primaries with Bernoulli arrivals, backlogged secondaries
 doing soft energy-based access, Rayleigh outages, and the retransmission
 feedback loop. Each run draws its random streams chunk by chunk, and one
-chunk step serves every scheme. With numba importable it is the slot loop
-`_sim_chunk`, compiled. Without numba it is `_sim_chunk_arrays`, which
-computes the same chunk with whole-array NumPy operations. Both give
-identical output on the same draws; the tests hold each against the
-uncompiled slot loop.
+chunk step, `_sim_chunk_arrays`, serves every scheme: it computes a whole
+chunk of slots with whole-array NumPy operations. The tests hold it
+against a plain loop over the same slots, on the same draws.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -88,122 +86,6 @@ class SimReport:
     slots: int
 
 
-# The slot loop is numba's source and the reference the tests hold
-# both chunk steps against.
-# stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
-# 4 collisions, 5 delay_cnt, 6 delay_sum, 7 overflow flag
-def _sim_chunk(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
-               queue, phase, buf, head,
-               a_vec, n_bins, scheme, lam, clear_pd, clear_sd,
-               scale_idle, scale_busy, a_genie, M_p, M_s, warmup,
-               stats, arr_cnt, dep_cnt,
-               trace_on, tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb):
-    for i in range(L):
-        t = t0 + i
-        post = t >= warmup
-        own = owner[i]
-        owner_busy = own < M_p and queue[own] > 0
-
-        if trace_on:
-            tr_owner[i] = own
-            rmask = 0
-            for q in range(M_p):
-                tr_q[i, q] = queue[q]
-                if phase[q] == 1:
-                    rmask |= 1 << q
-            tr_rmask[i] = rmask
-
-        if post:
-            if not owner_busy:
-                stats[3] += 1
-            for q in range(M_p):
-                if queue[q] > 0 and phase[q] == 0:
-                    stats[1] += 1
-
-        silent = scheme == 1 and owner_busy and phase[own] == 1
-        su_mask = 0
-        su_n = 0
-        lone = -1
-        if not silent:
-            for k in range(M_s):
-                if scheme == 2:
-                    pa = 0.0 if owner_busy else a_genie
-                else:
-                    scale = scale_busy if owner_busy else scale_idle
-                    idx = int(e_draws[i, k] * scale)
-                    pa = a_vec[idx] if idx < n_bins else 0.0
-                if pa > 0.0 and acc_u[i, k] < pa:
-                    su_mask |= 1 << k
-                    su_n += 1
-                    lone = k
-
-        outcome = 0
-        fb = 0
-        if owner_busy:
-            was_first = phase[own] == 0
-            if su_n == 0 and pu_u[i] < clear_pd:
-                pos = head[own] % CAP
-                at = buf[own, pos]
-                head[own] += 1
-                queue[own] -= 1
-                dep_cnt[own] += 1
-                phase[own] = 0
-                outcome = 1
-                fb = 1
-                if post:
-                    stats[5] += 1
-                    stats[6] += t - at
-                    if was_first:
-                        stats[2] += 1
-            else:
-                if scheme == 1:
-                    phase[own] = 1
-                outcome = 2
-                fb = 2
-            if post and su_n >= 1:
-                stats[4] += 1
-        else:
-            if su_n == 1:
-                if su_u[i, lone] < clear_sd:
-                    outcome = 3
-                    if post:
-                        stats[0] += 1
-                else:
-                    outcome = 5
-            elif su_n >= 2:
-                outcome = 4
-                if post:
-                    stats[4] += 1
-
-        if scheme == 1:
-            # backlogged non-owners heard no grant: they enter retransmission
-            for q in range(M_p):
-                if q != own and queue[q] > 0:
-                    phase[q] = 1
-
-        for q in range(M_p):
-            if arr_u[i, q] < lam:
-                pos = (head[q] + queue[q]) % CAP
-                buf[q, pos] = t
-                queue[q] += 1
-                arr_cnt[q] += 1
-                if queue[q] > CAP:
-                    stats[7] = 1
-
-        if trace_on:
-            tr_sumask[i] = su_mask
-            tr_outcome[i] = outcome
-            tr_fb[i] = fb
-
-
-try:
-    from numba import njit
-
-    _sim_chunk_jit = njit(cache=False)(_sim_chunk)
-except ImportError:  # pragma: no cover
-    _sim_chunk_jit = None
-
-
 def _access(e_draws, acc_u, a_vec, n_bins, scale):
     """Secondary access decisions for every slot and secondary at one energy scale."""
     x = e_draws * scale
@@ -245,13 +127,15 @@ def _feedback_departures(owner, arrive, first_ok, clear, q0, r0):
     return dep
 
 
+# stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
+# 4 collisions, 5 delay_cnt, 6 delay_sum, 7 overflow flag
 def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                       queue, phase, buf, head,
                       a_vec, n_bins, scheme, lam, clear_pd, clear_sd,
                       scale_idle, scale_busy, a_genie, M_p, M_s, warmup,
                       stats, arr_cnt, dep_cnt,
                       trace_on, tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb):
-    """`_sim_chunk` on whole arrays: the same arguments, state updates and trace.
+    """Advance the queues, phases and counters over slots t0..t0+L-1; fill the trace.
 
     Every secondary decision is taken for all slots under both the idle
     and the busy scale, so the primaries interact only through the owner
@@ -368,6 +252,7 @@ def _resolve(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig):
 
 def _run_one(kernel, rng, cfg, sim, trace, scheme_id, a_vec, a_genie,
              scale_idle, scale_busy, n_bins, cum_omega):
+    """One replication, advanced chunk by chunk by `kernel` (the tests pass a slot loop)."""
     M_p, M_s = cfg.M_p, cfg.M_s
     lam = cfg.lambda_p
     clear_pd = 1.0 - primary_outage(cfg)
@@ -431,8 +316,6 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     records no trace.
     """
     parts = _resolve(cfg, sensing, policy, sim)
-    numba = _sim_chunk_jit is not None
-    kernel = _sim_chunk_jit if numba else _sim_chunk_arrays
     start = time.perf_counter()
     trace = (np.zeros(traced_slots, np.int64), np.zeros((traced_slots, cfg.M_p), np.int64),
              *(np.zeros(traced_slots, np.int64) for _ in range(4)))
@@ -445,7 +328,7 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     backlog = np.zeros(cfg.M_p, dtype=np.int64)
     for child in children:
         rng = np.random.default_rng(child)
-        stats, arr_cnt, dep_cnt, queue = _run_one(kernel, rng, cfg, sim, trace, *parts)
+        stats, arr_cnt, dep_cnt, queue = _run_one(_sim_chunk_arrays, rng, cfg, sim, trace, *parts)
         per_rep.append(_estimates(stats, span, cfg.M_s))
         collisions += int(stats[4])
         arrivals += arr_cnt
@@ -466,9 +349,8 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
         final_backlog=tuple(int(x) for x in backlog),
         seed_used=sim.seed, replications=sim.replications, slots=sim.slots,
     )
-    _log.debug("%s path: %d slots x %d replications in %.3f s",
-               "numba" if numba else "array", sim.slots, sim.replications,
-               time.perf_counter() - start)
+    _log.debug("array path: %d slots x %d replications in %.3f s",
+               sim.slots, sim.replications, time.perf_counter() - start)
     return report, trace
 
 
@@ -492,11 +374,15 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     mask, plus the slot's secondary mask, outcome code and feedback code.
     Outcomes: 0 quiet, 1 primary success, 2 primary loss, 3 secondary
     success, 4 secondary collision, 5 secondary outage loss. Feedback:
-    0 none, 1 ack, 2 nack.
+    0 none, 1 ack, 2 nack. The masks are int64 bit sets, so the trace
+    holds at most 63 primaries and 63 secondaries.
     """
     sim = sim or SimConfig()
     if sim.replications != 1:
         raise ValueError("run_traced requires replications == 1")
+    if max(cfg.M_p, cfg.M_s) > 63:
+        raise ValueError("run_traced records users in int64 bitmasks: "
+                         f"M_p = {cfg.M_p} and M_s = {cfg.M_s} must be at most 63")
     report, columns = _simulate(cfg, sensing, policy, sim, sim.slots)
     dtype = np.dtype([
         ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (cfg.M_p,)),

@@ -157,9 +157,9 @@ class TestNumeric:
         with pytest.raises(SolveError, match="residual"):
             numeric_distribution(params, 0.15, K=200)
 
-    def test_power_iteration_path(self):
-        # K past 2,000 levels, beyond what a dense solve can afford: the
-        # sparse solve must cover it like any other K
+    def test_sparse_solve_at_large_K(self):
+        # a truncation of 2,100 levels (4,201 states) solves to the closed
+        # form just as the small K above do
         params = chain_params_from_rates(0.4, 0.5, 0.15)
         closed = closed_form_distribution(params, 0.15, K=2100)
         numeric = numeric_distribution(params, 0.15, K=2100)

@@ -122,6 +122,7 @@ class TestValidateConfig:
         ("who.knows = 3\n", "who.knows"),
         ("network.M_p = many\n", "network.M_p"),
         ("schemes = fb,warp\n", "schemes"),
+        ("schemes = fb,nofb,fb\n", "schemes"),
         ("sweep.values = 0.1, 1.5\n", "sweep.values"),
         ("sweep.variable = M_s\nsweep.values = 2.5\n", "sweep.values"),
         ("sweep.variable = bandwidth\n", "sweep.variable"),
@@ -147,6 +148,8 @@ class TestValidateConfig:
             parse_schemes("fb, alien")
         with pytest.raises(ValueError):
             parse_schemes(" , ")
+        with pytest.raises(ValueError, match="twice"):
+            parse_schemes("fb, fb")
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +297,10 @@ class TestMain:
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--schemes", "fb,alien"]) == 2
         assert "schemes" in capsys.readouterr().err
+        # a repeated token would reorder the rows and write one scheme twice
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--schemes", "fb,nofb,fb"]) == 2
+        assert "listed twice" in capsys.readouterr().err
 
     def test_sweep_unwritable_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep.values = 0.1\n")

@@ -24,6 +24,7 @@ from softaccess import (
     run_traced,
     simulate,
 )
+from slot_loop import sim_chunk
 
 MU_P_SILENT = 0.24379849734332582
 PI0_FB_SILENT = 0.5898251995410111
@@ -232,6 +233,19 @@ class TestValidation:
             run(ref_cfg, ref_sensing, AccessPolicy((0.5, 0.5)),
                 SimConfig(**SMALL))
 
+    @pytest.mark.parametrize("M_p,M_s", [(64, 2), (4, 64)])
+    def test_trace_masks_hold_at_most_63_users(self, M_p, M_s):
+        # r_mask and su_mask are int64 sums of 1 << k; run has no masks
+        cfg = NetworkConfig(M_p=M_p, M_s=M_s, lambda_p=0.001)
+        sensing = default_sensing(cfg)
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0))
+        sim = SimConfig(slots=2_000, warmup=100, seed=1, replications=1)
+        with pytest.raises(ValueError, match="63"):
+            run_traced(cfg, sensing, pol, sim)
+        report = run(cfg, sensing, pol, sim)
+        assert len(report.arrivals) == M_p
+        assert sum(report.arrivals) - sum(report.departures) == sum(report.final_backlog)
+
 
 class TestSingleRunPath:
     @pytest.mark.parametrize("scheme,a,round_robin", [
@@ -262,14 +276,13 @@ class TestSingleRunPath:
         sim = SimConfig(slots=2_000, warmup=100, seed=2, replications=2)
         with caplog.at_level(logging.DEBUG, logger=simulate.__name__):
             run(ref_cfg, ref_sensing, pol, sim)
-        path = "array" if simulate._sim_chunk_jit is None else "numba"
         records = [r for r in caplog.records if r.name == simulate.__name__]
         assert [r.levelno for r in records] == [logging.DEBUG]
-        assert records[0].getMessage().startswith(f"{path} path: 2000 slots x 2 replications in ")
+        assert records[0].getMessage().startswith("array path: 2000 slots x 2 replications in ")
 
 
 class TestArrayChunk:
-    """Each chunk step `run` can take against the uncompiled slot loop, on the same draws."""
+    """The array chunk step against the slot loop, on the same draws."""
 
     KINDS = {
         "fb": (Scheme.FEEDBACK, Scheme.FEEDBACK),
@@ -316,20 +329,15 @@ class TestArrayChunk:
         out = simulate._run_one(kernel, rng, cfg, sim, trace, *parts)
         return [x.copy() for x in out], trace
 
-    @pytest.mark.parametrize("kernel", ["_sim_chunk_arrays", "_sim_chunk_jit"],
-                             ids=["array", "numba"])
     @pytest.mark.parametrize("chunk", [997, 4_096])
     @pytest.mark.parametrize("kind", list(KINDS))
-    def test_matches_slot_loop(self, monkeypatch, chunk, kind, kernel):
-        step = getattr(simulate, kernel)
-        if step is None:
-            pytest.skip("numba is not installed")
+    def test_matches_slot_loop(self, monkeypatch, chunk, kind):
         monkeypatch.setattr(simulate, "CHUNK", chunk)
         rng = np.random.default_rng([chunk, list(self.KINDS).index(kind)])
         for i in range(self.CONFIGS_PER_CASE):
             case = self.draw_case(rng, *self.KINDS[kind])
-            want, want_trace = self.run_one(simulate._sim_chunk, *case)
-            got, got_trace = self.run_one(step, *case)
+            want, want_trace = self.run_one(sim_chunk, *case)
+            got, got_trace = self.run_one(simulate._sim_chunk_arrays, *case)
             for name, g, w in zip(("stats", "arrivals", "departures", "queue"), got, want):
                 assert np.array_equal(g, w), (i, name, case)
             for g, w in zip(got_trace, want_trace):
