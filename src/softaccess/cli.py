@@ -38,8 +38,9 @@ _FLOAT_KEYS = {
     "sweep.start", "sweep.stop", "sweep.step",
 }
 _LIST_KEYS = {"network.omega_p", "sweep.values"}
-_STR_KEYS = {"sweep.variable", "schemes", "output"}
+_STR_KEYS = {"sweep.variable", "schemes"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
+MAX_SWEEP_POINTS = 1_000_000  # a start/stop/step grid is built in memory; refuse larger ones
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,13 @@ def validate_config(path):
         start = values.get("sweep.start", 0.0)
         stop = values.get("sweep.stop", 0.25)
         step = values.get("sweep.step", 0.005)
+        sweep_values = ()
         if step <= 0.0:
             diagnostics.append(("sweep.step", "must be positive"))
-            sweep_values = ()
         elif stop < start:
             diagnostics.append(("sweep.stop", "must be >= sweep.start"))
-            sweep_values = ()
+        elif (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:  # before building; may be inf
+            diagnostics.append(("sweep.step", f"grid has more than {MAX_SWEEP_POINTS:,} points"))
         else:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             sweep_values = tuple(start + i * step for i in range(count))
@@ -207,8 +209,7 @@ def validate_config(path):
     if diagnostics:
         return diagnostics
     return Experiment(base=base, sensing=sensing, sweep_variable=variable,
-                      sweep_values=tuple(sweep_values), schemes=schemes,
-                      sim=sim, output_path=values.get("output"))
+                      sweep_values=tuple(sweep_values), schemes=schemes, sim=sim)
 
 
 def _point_rows(exp: Experiment, value: float):
@@ -278,26 +279,22 @@ def _csv_text(exp: Experiment, rows) -> str:
 def _gnuplot_text(csv_path: str, exp: Experiment) -> str:
     name = Path(csv_path).name
     xlabel = exp.sweep_variable
-    plots = ", \\\n  ".join(
-        f'"< awk -F, \'NR==1 || $2==\\"{s.value}\\"\' {name}"'
-        f' using 1:4 with linespoints title "{s.value}"'
-        for s in exp.schemes
-    )
-    delay_plots = ", \\\n#   ".join(
-        f'"< awk -F, \'NR==1 || $2==\\"{s.value}\\"\' {name}"'
-        f' using 1:7 with linespoints title "{s.value}"'
-        for s in exp.schemes
-    )
+
+    def plots(column, indent):  # one plot per scheme, on its rows and the header
+        return f", \\\n{indent}".join(
+            f'"< awk -F, \'NR==1 || $2==\\"{s.value}\\"\' {name}"'
+            f' using 1:{column} with linespoints title "{s.value}"' for s in exp.schemes)
+
     return (
         f"# companion plot script for {name}\n"
         'set datafile separator ","\n'
         "set key top right\n"
         f'set xlabel "{xlabel}"\n'
         'set ylabel "mu_s"\n'
-        f"plot \\\n  {plots}\n"
+        f"plot \\\n  {plots(4, '  ')}\n"
         "# packet delay variant:\n"
         '# set ylabel "delay"\n'
-        f"# plot \\\n#   {delay_plots}\n"
+        f"# plot \\\n#   {plots(7, '#   ')}\n"
     )
 
 

@@ -5,8 +5,10 @@ TDMA-scheduled primaries with Bernoulli arrivals, backlogged secondaries
 doing soft energy-based access, Rayleigh outages, and the retransmission
 feedback loop. Each run draws its random streams chunk by chunk, and one
 chunk step, `_sim_chunk_arrays`, serves every scheme: it computes a whole
-chunk of slots with whole-array NumPy operations. The tests hold it
-against a plain loop over the same slots, on the same draws.
+chunk of slots with whole-array NumPy operations, given the run's `_Plan`
+and the replication's state, in which each primary's queue is `pending`,
+the arrival slots of its waiting packets. The tests hold it against a
+plain loop over the same slots, on the same draws.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -20,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,19 +33,12 @@ __all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced", "esti
 
 _log = logging.getLogger(__name__)
 
-CAP = 1 << 16  # ring buffer slots per primary queue
+CAP = 1 << 16  # most packets one primary queue may hold; bounds the run's memory
 CHUNK = 1 << 17
-
-_SCHEME_ID = {
-    Scheme.NO_FEEDBACK: 0,
-    Scheme.HARD_DECISION: 0,
-    Scheme.FEEDBACK: 1,
-    Scheme.GENIE: 2,
-}
 
 
 class CapacityError(RuntimeError):
-    """A simulated primary queue outgrew its ring buffer."""
+    """A simulated primary queue held more than CAP packets."""
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,41 @@ class SimReport:
     slots: int
 
 
-def _access(e_draws, acc_u, a_vec, n_bins, scale):
+class _Plan(NamedTuple):
+    """What every chunk step of one run needs besides the draws and the state."""
+    scheme: Scheme
+    a_vec: np.ndarray  # access probability per energy bin
+    scale_idle: float  # energy draw to bin index when the owner is idle
+    scale_busy: float  # ... and when it is busy
+    lam: float
+    clear_pd: float  # probability that the primary link is not in outage
+    clear_sd: float  # ... and the secondary link
+    warmup: int
+
+
+def _plan(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig) -> _Plan:
+    scheme = sim.scheme or policy.scheme
+    if scheme is Scheme.GENIE:
+        if policy.n != 1:
+            raise ValueError("genie policy must have a single entry")
+        # the genie's one bin takes every idle draw and no busy one
+        scale_idle, scale_busy = 0.0, math.inf
+    else:
+        if sensing is None:
+            raise ValueError("sensing config required for sensing schemes")
+        if policy.n != sensing.n:
+            raise ValueError("policy length must match the number of bins")
+        scale_idle = 2.0 * sensing.sigma0_sq * sensing.n / sensing.eta
+        scale_busy = 2.0 * sensing.sigma1_sq * sensing.n / sensing.eta
+    return _Plan(scheme, np.asarray(policy.a, dtype=np.float64), scale_idle, scale_busy,
+                 cfg.lambda_p, 1.0 - primary_outage(cfg), 1.0 - secondary_outage(cfg),
+                 sim.warmup)
+
+
+def _access(e_draws, acc_u, a_vec, scale):
     """Secondary access decisions for every slot and secondary at one energy scale."""
     x = e_draws * scale
-    inside = x < n_bins  # int(x) < n_bins for x >= 0, with no int64 overflow
+    inside = x < a_vec.size  # int(x) < a_vec.size for finite x >= 0; inf and nan fall outside
     pa = np.where(inside, a_vec[np.where(inside, x, 0.0).astype(np.int64)], 0.0)
     return (pa > 0.0) & (acc_u < pa)
 
@@ -116,7 +142,7 @@ def _feedback_departures(owner, arrive, first_ok, clear, q0, r0):
             if k == nd:  # empty at slot start
                 continue
             if i == 0:
-                first = r0[q] == 0
+                first = not r0[q]
             else:
                 first = last == i - 1 or k_prev == nd
             if f_ok if first else c_ok:
@@ -128,14 +154,10 @@ def _feedback_departures(owner, arrive, first_ok, clear, q0, r0):
 
 
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
-# 4 collisions, 5 delay_cnt, 6 delay_sum, 7 overflow flag
-def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
-                      queue, phase, buf, head,
-                      a_vec, n_bins, scheme, lam, clear_pd, clear_sd,
-                      scale_idle, scale_busy, a_genie, M_p, M_s, warmup,
-                      stats, arr_cnt, dep_cnt,
-                      trace_on, tr_owner, tr_q, tr_rmask, tr_sumask, tr_outcome, tr_fb):
-    """Advance the queues, phases and counters over slots t0..t0+L-1; fill the trace.
+# 4 collisions, 5 delay_cnt, 6 delay_sum
+def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
+                      pending, phase, stats, arr_cnt, dep_cnt, trace):
+    """Advance the pending arrivals, phases and counters over slots t0..t0+L-1.
 
     Every secondary decision is taken for all slots under both the idle
     and the busy scale, so the primaries interact only through the owner
@@ -143,31 +165,30 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     recursion Q(t+1) = max(Q(t) - e(t), 0) + a(t), solved by a cumulative
     sum and a running maximum (Lindley 1952; Asmussen, Applied Probability
     and Queues, ch. III). With feedback the service flag depends on the
-    phase, and `_feedback_departures` walks the owned slots.
+    phase, and `_feedback_departures` walks the owned slots. `trace`, when
+    not None, is the chunk's rows of `run_traced`'s structured array.
     """
+    L, M_p = arr_u.shape
+    M_s = e_draws.shape[1]
     rows = np.arange(L)
-    if scheme == 2:
-        idle_acc = (a_genie > 0.0) & (acc_u < a_genie)
-        busy_acc = np.zeros((L, M_s), dtype=bool)
-    else:
-        idle_acc = _access(e_draws, acc_u, a_vec, n_bins, scale_idle)
-        busy_acc = _access(e_draws, acc_u, a_vec, n_bins, scale_busy)
+    idle_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_idle)
+    busy_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_busy)
     n_idle = idle_acc.sum(axis=1)
     n_busy = busy_acc.sum(axis=1)
-    clear = pu_u < clear_pd
+    clear = pu_u < plan.clear_pd
     first_ok = clear & (n_busy == 0)
-    arrive = arr_u < lam
+    arrive = arr_u < plan.lam
 
     # Q[t] is every queue at slot t's start (Q[L] at the chunk's end), R[t]
     # its retransmission phase and dep[t] who departed in slot t
-    q0 = queue.copy()
+    q0 = np.array([p.size for p in pending], dtype=np.int64)
     steps = np.zeros((L + 1, M_p), dtype=np.int64)
-    if scheme == 1:
+    if plan.scheme is Scheme.FEEDBACK:
         dep = _feedback_departures(owner, arrive, first_ok, clear, q0, phase)
         np.cumsum(arrive.astype(np.int64) - dep, axis=0, out=steps[1:])
         Q = q0 + steps
         R = np.empty((L + 1, M_p), dtype=bool)
-        R[0] = phase == 1
+        R[0] = phase
         R[1:] = (Q[:-1] > 0) & ~dep
     else:
         e = (owner[:, None] == np.arange(M_p)) & first_ok[:, None]
@@ -177,8 +198,8 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
         Q = q0 + steps + np.maximum(idle_gap, 0)
         dep = e & (Q[:-1] > 0)
         R = np.zeros((L + 1, M_p), dtype=bool)  # phases stay F without feedback
-    if (Q[1:] > CAP).any():
-        stats[7] = 1
+    if Q.max() > CAP:
+        raise CapacityError(f"a primary queue held more than {CAP} packets")
     Qs, Rs = Q[:-1], R[:-1]
 
     in_range = owner < M_p
@@ -187,8 +208,8 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     idle = ~busy
     silent = busy & Rs[rows, own]  # nonzero under feedback only
     served = dep.any(axis=1)
-    lone_clear = su_u[rows, idle_acc.argmax(axis=1)] < clear_sd
-    p = min(L, max(0, warmup - t0))  # first post-warmup slot of the chunk
+    lone_clear = su_u[rows, idle_acc.argmax(axis=1)] < plan.clear_sd
+    p = min(L, max(0, plan.warmup - t0))  # first post-warmup slot of the chunk
     stats[0] += np.count_nonzero((idle & (n_idle == 1) & lone_clear)[p:])
     stats[1] += np.count_nonzero(((Qs > 0) & ~Rs)[p:])
     stats[2] += np.count_nonzero((served & ~silent)[p:])
@@ -199,75 +220,40 @@ def _sim_chunk_arrays(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     for q in range(M_p):
         d_at = np.flatnonzero(dep[:, q]) + t0
         a_at = np.flatnonzero(arrive[:, q]) + t0
-        n_old = min(int(q0[q]), d_at.size)
-        old = buf[q, (head[q] + np.arange(n_old)) % CAP]
-        delay = d_at - np.concatenate((old, a_at[:d_at.size - n_old]))
-        post = d_at >= warmup
+        waiting = np.concatenate((pending[q], a_at))
+        post = d_at >= plan.warmup
         stats[5] += np.count_nonzero(post)
-        stats[6] += delay[post].sum()
-        # arrival number m of the replication lives at ring position m % CAP
-        seen = head[q] + q0[q]
-        keep = min(a_at.size, CAP)
-        buf[q, (seen + np.arange(a_at.size - keep, a_at.size)) % CAP] = a_at[a_at.size - keep:]
-        head[q] += d_at.size
+        stats[6] += (d_at - waiting[:d_at.size])[post].sum()
+        pending[q] = waiting[d_at.size:]
         arr_cnt[q] += a_at.size
         dep_cnt[q] += d_at.size
-    queue[:] = Q[L]
     phase[:] = R[L]
 
-    if trace_on:
-        tr_owner[:] = owner
-        tr_q[:] = Qs
-        tr_rmask[:] = Rs @ (1 << np.arange(M_p))
+    if trace is not None:
+        trace["owner"] = owner
+        trace["queues"] = Qs
+        trace["r_mask"] = Rs @ (1 << np.arange(M_p))
         su = np.where(busy[:, None], busy_acc & ~silent[:, None], idle_acc)
-        tr_sumask[:] = su @ (1 << np.arange(M_s))
-        tr_outcome[:] = np.select([served, busy, n_idle == 1, n_idle > 1],
-                                  [1, 2, np.where(lone_clear, 3, 5), 4], 0)
-        tr_fb[:] = np.select([served, busy], [1, 2], 0)
+        trace["su_mask"] = su @ (1 << np.arange(M_s))
+        trace["outcome"] = np.select([served, busy, n_idle == 1, n_idle > 1],
+                                     [1, 2, np.where(lone_clear, 3, 5), 4], 0)
+        trace["feedback"] = np.select([served, busy], [1, 2], 0)
 
 
-def _resolve(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig):
-    scheme = sim.scheme or policy.scheme
-    scheme_id = _SCHEME_ID[scheme]
-    if scheme is Scheme.GENIE:
-        if policy.n != 1:
-            raise ValueError("genie policy must have a single entry")
-        a_vec = np.zeros(1)
-        a_genie = float(policy.a[0])
-        scale_idle = scale_busy = 1.0
-        n_bins = 1
-    else:
-        if sensing is None:
-            raise ValueError("sensing config required for sensing schemes")
-        if policy.n != sensing.n:
-            raise ValueError("policy length must match the number of bins")
-        a_vec = np.asarray(policy.a, dtype=np.float64)
-        a_genie = 0.0
-        scale_idle = 2.0 * sensing.sigma0_sq * sensing.n / sensing.eta
-        scale_busy = 2.0 * sensing.sigma1_sq * sensing.n / sensing.eta
-        n_bins = sensing.n
-    cum_omega = np.cumsum(np.asarray(cfg.omega_p, dtype=np.float64))
-    return scheme_id, a_vec, a_genie, scale_idle, scale_busy, n_bins, cum_omega
+def _run_one(kernel, rng, cfg, sim, plan, trace):
+    """One replication, advanced chunk by chunk by `kernel` (the tests pass a slot loop).
 
-
-def _run_one(kernel, rng, cfg, sim, trace, scheme_id, a_vec, a_genie,
-             scale_idle, scale_busy, n_bins, cum_omega):
-    """One replication, advanced chunk by chunk by `kernel` (the tests pass a slot loop)."""
+    Returns the stats and, per primary, the arrival and departure counts
+    and the pending arrival slots at the end.
+    """
     M_p, M_s = cfg.M_p, cfg.M_s
-    lam = cfg.lambda_p
-    clear_pd = 1.0 - primary_outage(cfg)
-    clear_sd = 1.0 - secondary_outage(cfg)
-    queue = np.zeros(M_p, dtype=np.int64)
-    phase = np.zeros(M_p, dtype=np.int64)
-    buf = np.zeros((M_p, CAP), dtype=np.int64)
-    head = np.zeros(M_p, dtype=np.int64)
-    stats = np.zeros(8, dtype=np.int64)
+    cum_omega = np.cumsum(np.asarray(cfg.omega_p, dtype=np.float64))
+    pending = [np.zeros(0, dtype=np.int64) for _ in range(M_p)]
+    phase = np.zeros(M_p, dtype=bool)
+    stats = np.zeros(7, dtype=np.int64)
     arr_cnt = np.zeros(M_p, dtype=np.int64)
     dep_cnt = np.zeros(M_p, dtype=np.int64)
-    trace_on = trace[0].size > 0
-
-    t0 = 0
-    while t0 < sim.slots:
+    for t0 in range(0, sim.slots, CHUNK):
         L = min(CHUNK, sim.slots - t0)
         if sim.round_robin:
             owner = (t0 + np.arange(L, dtype=np.int64)) % M_p
@@ -278,17 +264,10 @@ def _run_one(kernel, rng, cfg, sim, trace, scheme_id, a_vec, a_genie,
         acc_u = rng.random((L, M_s))
         pu_u = rng.random(L)
         su_u = rng.random((L, M_s))
-        # zero-length trace columns slice to zero-length views
-        kernel(t0, L, owner, arr_u, e_draws, acc_u, pu_u, su_u,
-               queue, phase, buf, head,
-               a_vec, n_bins, scheme_id, lam, clear_pd, clear_sd,
-               scale_idle, scale_busy, a_genie, M_p, M_s, sim.warmup,
-               stats, arr_cnt, dep_cnt,
-               trace_on, *[col[t0:t0 + L] for col in trace])
-        if stats[7]:
-            raise CapacityError("primary queue exceeded the ring buffer capacity")
-        t0 += L
-    return stats, arr_cnt, dep_cnt, queue
+        kernel(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
+               pending, phase, stats, arr_cnt, dep_cnt,
+               None if trace is None else trace[t0:t0 + L])
+    return stats, arr_cnt, dep_cnt, pending
 
 
 def _estimates(stats, span: int, M_s: int):
@@ -307,33 +286,31 @@ def _mean_se(values):
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
-              traced_slots: int):
-    """Run every replication; return the report and the trace columns.
+def _new_trace(slots: int, M_p: int) -> np.ndarray:
+    dtype = np.dtype([
+        ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (M_p,)),
+        ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),
+    ])
+    trace = np.zeros(slots, dtype=dtype)
+    trace["slot"] = np.arange(slots, dtype=np.int64)
+    return trace
 
-    The six trace columns (owner, queues, retransmission mask, secondary
-    mask, outcome, feedback) have traced_slots rows; at zero the kernel
-    records no trace.
-    """
-    parts = _resolve(cfg, sensing, policy, sim)
+
+def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig, trace):
+    """Run every replication and return the report; fill `trace` unless it is None."""
+    plan = _plan(cfg, sensing, policy, sim)
     start = time.perf_counter()
-    trace = (np.zeros(traced_slots, np.int64), np.zeros((traced_slots, cfg.M_p), np.int64),
-             *(np.zeros(traced_slots, np.int64) for _ in range(4)))
     span = sim.slots - sim.warmup
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
     per_rep = []
     collisions = 0
-    arrivals = np.zeros(cfg.M_p, dtype=np.int64)
-    departures = np.zeros(cfg.M_p, dtype=np.int64)
-    backlog = np.zeros(cfg.M_p, dtype=np.int64)
+    counts = np.zeros((3, cfg.M_p), dtype=np.int64)  # arrivals, departures, backlog
     for child in children:
         rng = np.random.default_rng(child)
-        stats, arr_cnt, dep_cnt, queue = _run_one(_sim_chunk_arrays, rng, cfg, sim, trace, *parts)
+        stats, arr_cnt, dep_cnt, pending = _run_one(_sim_chunk_arrays, rng, cfg, sim, plan, trace)
         per_rep.append(_estimates(stats, span, cfg.M_s))
         collisions += int(stats[4])
-        arrivals += arr_cnt
-        departures += dep_cnt
-        backlog += queue
+        counts += arr_cnt, dep_cnt, [p.size for p in pending]
     mu_s, se_mu_s = _mean_se([r[0] for r in per_rep])
     mu_p, se_mu_p = _mean_se([r[1] for r in per_rep])
     pi0, se_pi0 = _mean_se([r[2] for r in per_rep])
@@ -344,14 +321,14 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
         delay_hat=delay, se_delay=se_delay,
         pi0_hat=pi0, se_pi0=se_pi0,
         collisions=collisions,
-        arrivals=tuple(int(x) for x in arrivals),
-        departures=tuple(int(x) for x in departures),
-        final_backlog=tuple(int(x) for x in backlog),
+        arrivals=tuple(counts[0].tolist()),
+        departures=tuple(counts[1].tolist()),
+        final_backlog=tuple(counts[2].tolist()),
         seed_used=sim.seed, replications=sim.replications, slots=sim.slots,
     )
     _log.debug("array path: %d slots x %d replications in %.3f s",
                sim.slots, sim.replications, time.perf_counter() - start)
-    return report, trace
+    return report
 
 
 def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
@@ -362,7 +339,7 @@ def run(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     deterministic function of (inputs, seed). SEs are nan at one
     replication.
     """
-    return _simulate(cfg, sensing, policy, sim or SimConfig(), 0)[0]
+    return _simulate(cfg, sensing, policy, sim or SimConfig(), None)
 
 
 def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
@@ -383,16 +360,8 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     if max(cfg.M_p, cfg.M_s) > 63:
         raise ValueError("run_traced records users in int64 bitmasks: "
                          f"M_p = {cfg.M_p} and M_s = {cfg.M_s} must be at most 63")
-    report, columns = _simulate(cfg, sensing, policy, sim, sim.slots)
-    dtype = np.dtype([
-        ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (cfg.M_p,)),
-        ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),
-    ])
-    trace = np.zeros(sim.slots, dtype=dtype)
-    trace["slot"] = np.arange(sim.slots, dtype=np.int64)
-    for name, col in zip(dtype.names[1:], columns):
-        trace[name] = col
-    return report, trace
+    trace = _new_trace(sim.slots, cfg.M_p)
+    return _simulate(cfg, sensing, policy, sim, trace), trace
 
 
 def estimate_pi0(trace: np.ndarray, warmup: int = 0) -> float:

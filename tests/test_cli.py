@@ -118,6 +118,9 @@ class TestValidateConfig:
     @pytest.mark.parametrize("text,field", [
         ("network.r_pd = -10\n", "network"),
         ("sweep.step = 0\n", "sweep.step"),
+        # just over MAX_SWEEP_POINTS, and a step whose point count is inf
+        ("sweep.step = 2.4e-7\n", "sweep.step"),
+        ("sweep.step = 5e-324\n", "sweep.step"),
         ("sweep.start = 0.2\nsweep.stop = 0.1\n", "sweep.stop"),
         ("who.knows = 3\n", "who.knows"),
         ("network.M_p = many\n", "network.M_p"),
@@ -235,6 +238,12 @@ class TestMain:
         cfg = write_config(tmp_path, "network.M_p = 0\n")
         assert main(["validate", "--config", cfg]) == 2
         assert "network" in capsys.readouterr().err
+
+    def test_output_key_is_unknown(self, tmp_path, capsys):
+        # the CSV path comes only from --out
+        cfg = write_config(tmp_path, "output = sweep.csv\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "output: unknown key (line 1)\n"
 
     def test_validate_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.conf")
@@ -418,7 +427,7 @@ class TestExitCodes:
         assert code in (0, 2, 3)
 
     def test_simulator_capacity_exits_two(self, tmp_path, capsys, monkeypatch):
-        # near the stability boundary a shrunken ring buffer fills within the run
+        # near the stability boundary a queue passes a lowered CAP within the run
         monkeypatch.setattr(simulate, "CAP", 8)
         ref = NetworkConfig()
         lam = 0.98 * (1.0 - primary_outage(ref)) / ref.M_p

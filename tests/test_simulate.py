@@ -322,12 +322,13 @@ class TestArrayChunk:
 
     @staticmethod
     def run_one(kernel, cfg, sensing, policy, sim):
-        trace = (np.zeros(sim.slots, np.int64), np.zeros((sim.slots, cfg.M_p), np.int64),
-                 *(np.zeros(sim.slots, np.int64) for _ in range(4)))
+        """One traced replication by `kernel`: (stats, arrivals, departures, pending), trace."""
+        trace = simulate._new_trace(sim.slots, cfg.M_p)
         rng = np.random.default_rng(sim.seed)
-        parts = simulate._resolve(cfg, sensing, policy, sim)
-        out = simulate._run_one(kernel, rng, cfg, sim, trace, *parts)
-        return [x.copy() for x in out], trace
+        plan = simulate._plan(cfg, sensing, policy, sim)
+        stats, arr_cnt, dep_cnt, pending = simulate._run_one(kernel, rng, cfg, sim, plan, trace)
+        return (stats.tolist(), arr_cnt.tolist(), dep_cnt.tolist(),
+                [p.tolist() for p in pending]), trace
 
     @pytest.mark.parametrize("chunk", [997, 4_096])
     @pytest.mark.parametrize("kind", list(KINDS))
@@ -338,15 +339,14 @@ class TestArrayChunk:
             case = self.draw_case(rng, *self.KINDS[kind])
             want, want_trace = self.run_one(sim_chunk, *case)
             got, got_trace = self.run_one(simulate._sim_chunk_arrays, *case)
-            for name, g, w in zip(("stats", "arrivals", "departures", "queue"), got, want):
-                assert np.array_equal(g, w), (i, name, case)
-            for g, w in zip(got_trace, want_trace):
-                assert g.tobytes() == w.tobytes(), (i, case)
+            for name, g, w in zip(("stats", "arrivals", "departures", "pending"), got, want):
+                assert g == w, (i, name, case)
+            assert got_trace.tobytes() == want_trace.tobytes(), (i, case)
 
 
 class TestCapacity:
     @pytest.mark.parametrize("scheme", [Scheme.FEEDBACK, Scheme.NO_FEEDBACK])
-    def test_raises_exactly_past_the_ring(self, ref_cfg, ref_sensing, monkeypatch, scheme):
+    def test_raises_exactly_past_cap(self, ref_cfg, ref_sensing, monkeypatch, scheme):
         # overloaded: the queues grow through several chunks
         monkeypatch.setattr(simulate, "CHUNK", 997)
         cfg = dataclasses.replace(ref_cfg, lambda_p=0.3)
@@ -355,11 +355,26 @@ class TestCapacity:
         report, trace = run_traced(cfg, ref_sensing, pol, sim)
         peak = max(int(trace["queues"].max()), *report.final_backlog)
         assert 0 < 2 * peak < sum(report.arrivals) / cfg.M_p
-        # a ring exactly as long as the longest queue wraps and changes nothing
+        # the slot loop and the array step, on draws of their own
+        case = (cfg, ref_sensing, pol, sim)
+        want, want_trace = TestArrayChunk.run_one(simulate._sim_chunk_arrays, *case)
+        kernel_peak = max(int(want_trace["queues"].max()), *map(len, want[3]))
+        assert 0 < 2 * kernel_peak < sum(want[1]) / cfg.M_p
+        # a cap exactly as high as the longest queue changes nothing
         monkeypatch.setattr(simulate, "CAP", peak)
         full_report, full_trace = run_traced(cfg, ref_sensing, pol, sim)
         assert repr(full_report) == repr(report)
         assert full_trace.tobytes() == trace.tobytes()
+        monkeypatch.setattr(simulate, "CAP", kernel_peak)
+        for kernel in (sim_chunk, simulate._sim_chunk_arrays):
+            got, got_trace = TestArrayChunk.run_one(kernel, *case)
+            assert got == want, kernel.__name__
+            assert got_trace.tobytes() == want_trace.tobytes(), kernel.__name__
+        # one below it raises, in both kernels
         monkeypatch.setattr(simulate, "CAP", peak - 1)
         with pytest.raises(CapacityError):
             run(cfg, ref_sensing, pol, sim)
+        monkeypatch.setattr(simulate, "CAP", kernel_peak - 1)
+        for kernel in (sim_chunk, simulate._sim_chunk_arrays):
+            with pytest.raises(CapacityError):
+                TestArrayChunk.run_one(kernel, *case)
