@@ -1,0 +1,7 @@
+"""`python -m softaccess`: the same CLI as the `softaccess` console script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -144,21 +144,13 @@ def pi0_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -
 def pi0_feedback(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
     """Empty-queue probability under the feedback scheme, (chi - lambda_p)/(1 - delta).
 
-    The expanded equivalent 1 - lambda_p*(1 + M_p/(1-P_pd) - (1-s1)^M_s)
-    is kept as a private twin; a standing test pins their agreement.
+    It equals the expanded form 1 - lambda_p*(1 + M_p/(1-P_pd) - (1-s1)^M_s),
+    which the tests hold it against.
     """
     params = chain_params(cfg, sensing, policy)
     if cfg.lambda_p >= params.chi:
         return Unstable(params.chi - cfg.lambda_p)
     return (params.chi - cfg.lambda_p) / (1.0 - params.delta)
-
-
-def _pi0_feedback_expanded(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
-    # expanded form: 1 - lambda*(1 + M_p/(1-P_pd) - (1-s1)^M_s)
-    p_pd = primary_outage(cfg)
-    s1 = joint_access_probability(policy, sensing.p1())
-    bracket = 1.0 + cfg.M_p / (1.0 - p_pd) - (1.0 - s1) ** cfg.M_s
-    return 1.0 - cfg.lambda_p * bracket
 
 
 def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -233,6 +236,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("ok:")
         assert "2 x 4" in out
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m softaccess runs the same main, and warns about nothing
+        cfg = write_config(tmp_path, "sweep.values = 0.0, 0.1\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "softaccess", "validate", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("ok:")
+        assert proc.stderr == ""
 
     def test_validate_bad_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "network.M_p = 0\n")

@@ -17,15 +17,16 @@ from softaccess import (
     closed_form_distribution,
     default_sensing,
     delta_pi0,
+    joint_access_probability,
     pi0_feedback,
     pi0_nofb,
+    primary_outage,
     primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
     stability,
 )
-from softaccess.rates import _pi0_feedback_expanded
 
 from conftest import sample_network
 
@@ -33,6 +34,13 @@ MU_P_SILENT = 0.24379849734332582  # (1-P_pd)/M_p at the reference geometry
 PI0_FB_SILENT = 0.5898251995410111  # 1 - lam*M_p/(1-P_pd) at lam=0.1
 
 SILENT = AccessPolicy((0.0, 0.0, 0.0, 0.0))
+
+
+def pi0_feedback_expanded(cfg, sensing, policy):
+    """pi_0 under feedback in its expanded form, 1 - lambda*(1 + M_p/(1-P_pd) - (1-s1)^M_s)."""
+    s1 = joint_access_probability(policy, sensing.p1())
+    bracket = 1.0 + cfg.M_p / (1.0 - primary_outage(cfg)) - (1.0 - s1) ** cfg.M_s
+    return 1.0 - cfg.lambda_p * bracket
 
 
 def random_policy(rng, n=4, scheme=Scheme.NO_FEEDBACK):
@@ -120,17 +128,13 @@ class TestPi0:
 
     def test_compact_equals_expanded(self):
         rng = np.random.default_rng(13)
-        checked = 0
-        while checked < 60:
+        for _ in range(60):
             cfg, sensing = sample_network(rng)
             pol = AccessPolicy(tuple(rng.uniform(0.0, 1.0, size=sensing.n)))
             compact = pi0_feedback(cfg, sensing, pol)
-            expanded = _pi0_feedback_expanded(cfg, sensing, pol)
-            if isinstance(compact, Unstable):
-                assert isinstance(expanded, Unstable)
-                continue
-            assert compact == pytest.approx(expanded, rel=1e-12)
-            checked += 1
+            # lambda_p <= 0.85 delta_bar, where feedback keeps every policy stable
+            assert not isinstance(compact, Unstable)
+            assert compact == pytest.approx(pi0_feedback_expanded(cfg, sensing, pol), rel=1e-12)
 
     def test_matches_chain_distribution(self):
         rng = np.random.default_rng(17)
