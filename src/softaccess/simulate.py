@@ -3,12 +3,13 @@
 The simulator realizes the joint dynamics the analytic formulas describe:
 TDMA-scheduled primaries with Bernoulli arrivals, backlogged secondaries
 doing soft energy-based access, Rayleigh outages, and the retransmission
-feedback loop. Each run draws its random streams chunk by chunk, and one
-chunk step, `_sim_chunk_arrays`, serves every scheme: it computes a whole
-chunk of slots with whole-array NumPy operations, given the run's `_Plan`
-and the replication's state, in which each primary's queue is `pending`,
-the arrival slots of its waiting packets. The tests hold it against a
-plain loop over the same slots, on the same draws.
+feedback loop. Each run draws its random streams in chunks of CHUNK slots
+(fewer where a chunk's arrays would pass CHUNK_BYTES). One chunk step,
+`_sim_chunk_arrays`, serves every scheme: it takes the secondary decisions
+with whole-array NumPy operations, then each primary's departures by one
+owned-slot recursion (`_departures`), and keeps each primary's queue as
+`pending`, the arrival slots of its waiting packets. The tests hold it
+against a plain loop over the same slots, on the same draws.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -34,11 +35,12 @@ __all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced", "esti
 _log = logging.getLogger(__name__)
 
 CAP = 1 << 16  # most packets one primary queue may hold; bounds the run's memory
-CHUNK = 1 << 17
+CHUNK = 1 << 17  # slots per chunk of draws; fewer where CHUNK_BYTES requires it
+CHUNK_BYTES = 1 << 29  # most bytes one chunk's arrays may take
 
 
 class CapacityError(RuntimeError):
-    """A simulated primary queue held more than CAP packets."""
+    """A primary queue held more than CAP packets, or one slot took more than CHUNK_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class SimReport:
 
 
 class _Plan(NamedTuple):
-    """What every chunk step of one run needs besides the draws and the state."""
+    """What one run's chunk loop and chunk steps need besides the draws and the state."""
     scheme: Scheme
     a_vec: np.ndarray  # access probability per energy bin
     scale_idle: float  # energy draw to bin index when the owner is idle
@@ -91,6 +93,7 @@ class _Plan(NamedTuple):
     clear_pd: float  # probability that the primary link is not in outage
     clear_sd: float  # ... and the secondary link
     warmup: int
+    rows: int  # slots per chunk
 
 
 def _plan(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig) -> _Plan:
@@ -107,9 +110,14 @@ def _plan(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig) -> 
             raise ValueError("policy length must match the number of bins")
         scale_idle = 2.0 * sensing.sigma0_sq * sensing.n / sensing.eta
         scale_busy = 2.0 * sensing.sigma1_sq * sensing.n / sensing.eta
+    # a chunk's draws and temporaries peak below this many bytes per slot (tracemalloc)
+    row_bytes = 256 + 32 * cfg.M_p + 56 * cfg.M_s
+    if row_bytes > CHUNK_BYTES:
+        raise CapacityError(f"one slot of network.M_s = {cfg.M_s} and network.M_p = {cfg.M_p} "
+                            f"takes {row_bytes} bytes, more than the {CHUNK_BYTES}-byte chunk bound")
     return _Plan(scheme, np.asarray(policy.a, dtype=np.float64), scale_idle, scale_busy,
                  cfg.lambda_p, 1.0 - primary_outage(cfg), 1.0 - secondary_outage(cfg),
-                 sim.warmup)
+                 sim.warmup, min(CHUNK, CHUNK_BYTES // row_bytes))
 
 
 def _access(e_draws, acc_u, a_vec, scale):
@@ -120,37 +128,38 @@ def _access(e_draws, acc_u, a_vec, scale):
     return (pa > 0.0) & (acc_u < pa)
 
 
-def _feedback_departures(owner, arrive, first_ok, clear, q0, r0):
-    """Which primary departs in which slot under feedback, by one pass over owned slots.
+def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
+    """The owned slots in which one primary departs.
 
-    A backlogged owner is in the first-transmission phase when its queue
-    was empty at the previous slot's start or it was served in that slot;
-    it is served on `first_ok` then and on `clear` in retransmission.
+    D(j+1) = min(D(j) + o(j), at(j)), where D(j) and at(j) count its
+    departures and arrivals (q0 included) before its j-th owned slot and
+    o(j) is that slot's service opportunity. Without feedback o is
+    `first_ok`, and D is its cumulative sum O plus min(0, running minimum
+    of at - O) (Lindley 1952; Asmussen, Applied Probability and Queues,
+    ch. III). With feedback a backlogged owner is served on `first_ok` in
+    the first-transmission phase (empty at the previous slot's start, or
+    served in it) and on `clear` in retransmission: one pass over the slots.
     """
-    L, M_p = arrive.shape
-    dep = np.zeros((L, M_p), dtype=bool)
-    for q in range(M_p):
-        owned = np.flatnonzero(owner == q)
-        a_q = arrive[:, q]
-        # arrivals-only queue at the start of each owned slot and of the slot
-        # before it; the queue itself is that less the nd departures so far
-        at = int(q0[q]) + np.cumsum(a_q)[owned] - a_q[owned]
-        prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
-        nd, last, served = 0, -2, []
-        for i, k, k_prev, f_ok, c_ok in zip(owned.tolist(), at.tolist(), prev.tolist(),
-                                            first_ok[owned].tolist(), clear[owned].tolist()):
-            if k == nd:  # empty at slot start
-                continue
-            if i == 0:
-                first = not r0[q]
-            else:
-                first = last == i - 1 or k_prev == nd
-            if f_ok if first else c_ok:
-                served.append(i)
-                nd += 1
-                last = i
-        dep[served, q] = True
-    return dep
+    at = q0 + np.cumsum(a_q)[owned] - a_q[owned]
+    if not feedback:
+        O = np.cumsum(first_ok[owned])
+        D = O + np.minimum(np.minimum.accumulate(at - O), 0)
+        return owned[np.diff(D, prepend=0) > 0]
+    prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
+    nd, last, served = 0, -2, []
+    for i, k, k_prev, f_ok, c_ok in zip(owned.tolist(), at.tolist(), prev.tolist(),
+                                        first_ok[owned].tolist(), clear[owned].tolist()):
+        if k == nd:  # empty at slot start
+            continue
+        if i == 0:
+            first = not r0
+        else:
+            first = last == i - 1 or k_prev == nd
+        if f_ok if first else c_ok:
+            served.append(i)
+            nd += 1
+            last = i
+    return np.array(served, dtype=np.int64)
 
 
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
@@ -161,16 +170,15 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
 
     Every secondary decision is taken for all slots under both the idle
     and the busy scale, so the primaries interact only through the owner
-    sequence. Without feedback each queue is then the integer Lindley
-    recursion Q(t+1) = max(Q(t) - e(t), 0) + a(t), solved by a cumulative
-    sum and a running maximum (Lindley 1952; Asmussen, Applied Probability
-    and Queues, ch. III). With feedback the service flag depends on the
-    phase, and `_feedback_departures` walks the owned slots. `trace`, when
-    not None, is the chunk's rows of `run_traced`'s structured array.
+    sequence. Each primary's departures then follow from its owned slots
+    alone (`_departures`), and the k-th of them takes the k-th of its
+    pending and new arrivals (FIFO). `trace`, when not None, is the
+    chunk's rows of `run_traced`'s structured array.
     """
     L, M_p = arr_u.shape
     M_s = e_draws.shape[1]
     rows = np.arange(L)
+    feedback = plan.scheme is Scheme.FEEDBACK
     idle_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_idle)
     busy_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_busy)
     n_idle = idle_acc.sum(axis=1)
@@ -182,24 +190,30 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     # Q[t] is every queue at slot t's start (Q[L] at the chunk's end), R[t]
     # its retransmission phase and dep[t] who departed in slot t
     q0 = np.array([p.size for p in pending], dtype=np.int64)
+    dep = np.zeros((L, M_p), dtype=bool)
+    for q in range(M_p):
+        a_q = arrive[:, q]
+        d_at = _departures(np.flatnonzero(owner == q), a_q, int(q0[q]), phase[q],
+                           first_ok, clear, feedback)
+        dep[d_at, q] = True
+        d_at += t0
+        a_at = np.flatnonzero(a_q) + t0
+        waiting = np.concatenate((pending[q], a_at))
+        post = d_at >= plan.warmup
+        stats[5] += np.count_nonzero(post)
+        stats[6] += (d_at - waiting[:d_at.size])[post].sum()
+        pending[q] = waiting[d_at.size:]
+        arr_cnt[q] += a_at.size
+        dep_cnt[q] += d_at.size
     steps = np.zeros((L + 1, M_p), dtype=np.int64)
-    if plan.scheme is Scheme.FEEDBACK:
-        dep = _feedback_departures(owner, arrive, first_ok, clear, q0, phase)
-        np.cumsum(arrive.astype(np.int64) - dep, axis=0, out=steps[1:])
-        Q = q0 + steps
-        R = np.empty((L + 1, M_p), dtype=bool)
-        R[0] = phase
-        R[1:] = (Q[:-1] > 0) & ~dep
-    else:
-        e = (owner[:, None] == np.arange(M_p)) & first_ok[:, None]
-        np.cumsum(arrive.astype(np.int64) - e, axis=0, out=steps[1:])
-        idle_gap = np.zeros((L + 1, M_p), dtype=np.int64)
-        np.maximum.accumulate(e - q0 - steps[:-1], axis=0, out=idle_gap[1:])
-        Q = q0 + steps + np.maximum(idle_gap, 0)
-        dep = e & (Q[:-1] > 0)
-        R = np.zeros((L + 1, M_p), dtype=bool)  # phases stay F without feedback
+    np.cumsum(arrive.astype(np.int64) - dep, axis=0, out=steps[1:])
+    Q = q0 + steps
     if Q.max() > CAP:
         raise CapacityError(f"a primary queue held more than {CAP} packets")
+    R = np.zeros((L + 1, M_p), dtype=bool)  # phases stay F without feedback
+    if feedback:
+        R[0] = phase
+        R[1:] = (Q[:-1] > 0) & ~dep
     Qs, Rs = Q[:-1], R[:-1]
 
     in_range = owner < M_p
@@ -215,18 +229,6 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     stats[2] += np.count_nonzero((served & ~silent)[p:])
     stats[3] += np.count_nonzero(idle[p:])
     stats[4] += np.count_nonzero((busy & ~silent & (n_busy > 0) | idle & (n_idle > 1))[p:])
-
-    # FIFO: the k-th departure takes the k-th of the pending and new arrivals
-    for q in range(M_p):
-        d_at = np.flatnonzero(dep[:, q]) + t0
-        a_at = np.flatnonzero(arrive[:, q]) + t0
-        waiting = np.concatenate((pending[q], a_at))
-        post = d_at >= plan.warmup
-        stats[5] += np.count_nonzero(post)
-        stats[6] += (d_at - waiting[:d_at.size])[post].sum()
-        pending[q] = waiting[d_at.size:]
-        arr_cnt[q] += a_at.size
-        dep_cnt[q] += d_at.size
     phase[:] = R[L]
 
     if trace is not None:
@@ -253,8 +255,8 @@ def _run_one(kernel, rng, cfg, sim, plan, trace):
     stats = np.zeros(7, dtype=np.int64)
     arr_cnt = np.zeros(M_p, dtype=np.int64)
     dep_cnt = np.zeros(M_p, dtype=np.int64)
-    for t0 in range(0, sim.slots, CHUNK):
-        L = min(CHUNK, sim.slots - t0)
+    for t0 in range(0, sim.slots, plan.rows):
+        L = min(plan.rows, sim.slots - t0)
         if sim.round_robin:
             owner = (t0 + np.arange(L, dtype=np.int64)) % M_p
         else:

@@ -442,6 +442,15 @@ class TestExitCodes:
             code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out.csv")])
         assert code in (0, 2, 3)
 
+    def test_simulator_memory_bound_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a bound below one slot of the reference network refuses it before any draw
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 64)
+        cfg = write_config(tmp_path, "sweep.values = 0.1\nsim.slots = 2000\nsim.warmup = 100\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--sim"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sweep: CapacityError: one slot of network.M_s = 2")
+
     def test_simulator_capacity_exits_two(self, tmp_path, capsys, monkeypatch):
         # near the stability boundary a queue passes a lowered CAP within the run
         monkeypatch.setattr(simulate, "CAP", 8)

@@ -292,6 +292,24 @@ class TestArrayChunk:
         "fb_policy_nofb_sim": (Scheme.FEEDBACK, Scheme.NO_FEEDBACK),
     }
     CONFIGS_PER_CASE = 12
+    # cases at the edges of `_departures`: (network, policy, round_robin, chunk), run
+    # at idle_tail 0.01 for 6,000 slots; `reaches_edge` checks that the trace gets there
+    EDGES = {
+        # one primary whose busy slots the secondaries nearly always disturb:
+        # first_ok holds in about 5% of them, so under feedback a backlogged
+        # owner alternates between the phases through long busy periods
+        "rare_first_ok": (dict(M_p=1, M_s=5, r_ps=300.0, lambda_p=0.45), (1.0,) * 4, False, 997),
+        # the third primary owns 1% of the slots, so it stays backlogged
+        # through whole chunks in which it owns none
+        "unowned_backlog": (dict(M_p=3, omega_p=(0.5, 0.49, 0.01), lambda_p=0.05),
+                            (1.0, 0.3, 0.0, 0.0), False, 97),
+        # round robin in chunks of 97: slot 0 of a chunk is owned, often by a
+        # backlogged primary that the previous chunk left in retransmission
+        "slot0_retransmission": (dict(M_p=2, lambda_p=0.2), (1.0, 0.3, 0.0, 0.0), True, 97),
+        # ownership sums to 0.6: 40% of the slots belong to no primary (owner >= M_p)
+        "omega_below_one": (dict(M_p=3, omega_p=(0.3, 0.2, 0.1), lambda_p=0.08),
+                            (1.0, 0.3, 0.0, 0.0), False, 997),
+    }
 
     @staticmethod
     def draw_case(rng, policy_scheme, sim_scheme):
@@ -330,21 +348,71 @@ class TestArrayChunk:
         return (stats.tolist(), arr_cnt.tolist(), dep_cnt.tolist(),
                 [p.tolist() for p in pending]), trace
 
+    @classmethod
+    def assert_matches(cls, case):
+        """Run `case` by the slot loop and the array step; return the trace they agree on."""
+        want, want_trace = cls.run_one(sim_chunk, *case)
+        got, got_trace = cls.run_one(simulate._sim_chunk_arrays, *case)
+        for name, g, w in zip(("stats", "arrivals", "departures", "pending"), got, want):
+            assert g == w, (name, case)
+        assert got_trace.tobytes() == want_trace.tobytes(), case
+        return got_trace
+
+    @staticmethod
+    def reaches_edge(edge, trace, chunk):
+        owner, queues = trace["owner"], trace["queues"]
+        M_p = queues.shape[1]
+        own = np.minimum(owner, M_p - 1)
+        backlog = (owner < M_p) & (queues[np.arange(len(trace)), own] > 0)
+        retx = (owner < M_p) & ((trace["r_mask"] >> own) & 1 == 1)
+        starts = np.arange(chunk, len(trace), chunk)
+        if edge == "rare_first_ok":
+            first = backlog & ~retx
+            return first.sum() > 2_000 and np.mean(trace["outcome"][first] == 1) < 0.1
+        if edge == "unowned_backlog":
+            return sum(queues[t0, 2] > 0 and not np.any(owner[t0:t0 + chunk] == 2)
+                       for t0 in starts) >= 5
+        if edge == "slot0_retransmission":
+            return np.count_nonzero((backlog & retx)[starts]) >= 5
+        return np.mean(owner >= M_p) > 0.3 and backlog.any()
+
     @pytest.mark.parametrize("chunk", [997, 4_096])
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_matches_slot_loop(self, monkeypatch, chunk, kind):
         monkeypatch.setattr(simulate, "CHUNK", chunk)
         rng = np.random.default_rng([chunk, list(self.KINDS).index(kind)])
-        for i in range(self.CONFIGS_PER_CASE):
-            case = self.draw_case(rng, *self.KINDS[kind])
-            want, want_trace = self.run_one(sim_chunk, *case)
-            got, got_trace = self.run_one(simulate._sim_chunk_arrays, *case)
-            for name, g, w in zip(("stats", "arrivals", "departures", "pending"), got, want):
-                assert g == w, (i, name, case)
-            assert got_trace.tobytes() == want_trace.tobytes(), (i, case)
+        for _ in range(self.CONFIGS_PER_CASE):
+            self.assert_matches(self.draw_case(rng, *self.KINDS[kind]))
+
+    @pytest.mark.parametrize("edge,scheme", [
+        (edge, scheme) for edge in EDGES for scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK)
+        if not (edge == "slot0_retransmission" and scheme is Scheme.NO_FEEDBACK)
+    ])
+    def test_edge_matches_slot_loop(self, monkeypatch, edge, scheme):
+        network, a, round_robin, chunk = self.EDGES[edge]
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        cfg = NetworkConfig(**network)
+        sim = SimConfig(slots=6_000, warmup=500, seed=3, replications=1, scheme=scheme,
+                        round_robin=round_robin)
+        case = (cfg, default_sensing(cfg, idle_tail=0.01), AccessPolicy(a, scheme), sim)
+        assert self.reaches_edge(edge, self.assert_matches(case), chunk)
 
 
 class TestCapacity:
+    def test_chunk_rows_keep_within_the_memory_bound(self, ref_sensing):
+        # only _plan runs: nothing of the network's size is drawn
+        def rows(**network):
+            return simulate._plan(NetworkConfig(**network), ref_sensing,
+                                  AccessPolicy((1.0, 0.3, 0.0, 0.0)), SimConfig(**SMALL)).rows
+
+        # the reference network and the widest ones the tests run keep whole chunks
+        for network in ({}, dict(M_s=64), dict(M_p=64)):
+            assert rows(**network) == simulate.CHUNK, network
+        wider = [rows(M_s=M_s) for M_s in (1_000, 100_000, 9_000_000)]
+        assert simulate.CHUNK > wider[0] > wider[1] > wider[2] >= 1
+        with pytest.raises(CapacityError, match=r"network\.M_s = 10000000 and network\.M_p = 4"):
+            rows(M_s=10_000_000)
+
     @pytest.mark.parametrize("scheme", [Scheme.FEEDBACK, Scheme.NO_FEEDBACK])
     def test_raises_exactly_past_cap(self, ref_cfg, ref_sensing, monkeypatch, scheme):
         # overloaded: the queues grow through several chunks
