@@ -4,117 +4,22 @@ Analytic rate/delay formulas, the primary-queue Markov chain, access
 probability optimization, a slot-level Monte Carlo simulator, and a
 sweep CLI for a network of TDMA primaries sharing a channel with
 ALOHA secondaries that exploit soft energy sensing and, optionally,
-the primaries' ARQ feedback.
+the primaries' ARQ feedback. The package exports every module's `__all__`.
 """
-from .chain import (
-    ChainDistribution,
-    SolveError,
-    closed_form_distribution,
-    default_truncation,
-    delay_fb,
-    delay_nofb,
-    littles_law_delay,
-    numeric_distribution,
-    transition_matrix,
-)
-from .cli import Experiment, main, run_sweep, sweep_rows, validate_config
-from .model import (
-    AccessPolicy,
-    NetworkConfig,
-    Scheme,
-    SensingConfig,
-    bin_probabilities,
-    clamp_probability,
-    default_sensing,
-    joint_access_probability,
-    log_complement_outage,
-    outage_probability,
-)
-from .optimize import (
-    OptResult,
-    Point,
-    baseline_genie,
-    baseline_hard_decision,
-    evaluate,
-    grid_search,
-    hard_decision_sensing,
-    kkt_residual_nofb,
-    solve_feedback,
-    solve_nofb,
-)
-from .rates import (
-    ChainParams,
-    StabilityReport,
-    Unstable,
-    chain_params,
-    chain_params_from_rates,
-    delta_pi0,
-    pi0_feedback,
-    pi0_nofb,
-    primary_outage,
-    primary_service_rate_nofb,
-    secondary_outage,
-    secondary_throughput_fb,
-    secondary_throughput_nofb,
-    stability,
-)
-from .simulate import CapacityError, SimConfig, SimReport, estimate_pi0, run, run_traced
+from . import chain, cli, model, optimize, rates, simulate
+from .chain import *
+from .cli import *
+from .model import *
+from .optimize import *
+from .rates import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessPolicy",
-    "CapacityError",
-    "ChainDistribution",
-    "ChainParams",
-    "Experiment",
-    "NetworkConfig",
-    "OptResult",
-    "Point",
-    "Scheme",
-    "SensingConfig",
-    "SimConfig",
-    "SimReport",
-    "SolveError",
-    "StabilityReport",
-    "Unstable",
-    "baseline_genie",
-    "baseline_hard_decision",
-    "bin_probabilities",
-    "chain_params",
-    "chain_params_from_rates",
-    "clamp_probability",
-    "closed_form_distribution",
-    "default_sensing",
-    "default_truncation",
-    "delay_fb",
-    "delay_nofb",
-    "delta_pi0",
-    "estimate_pi0",
-    "evaluate",
-    "grid_search",
-    "hard_decision_sensing",
-    "joint_access_probability",
-    "kkt_residual_nofb",
-    "littles_law_delay",
-    "log_complement_outage",
-    "main",
-    "numeric_distribution",
-    "outage_probability",
-    "pi0_feedback",
-    "pi0_nofb",
-    "primary_outage",
-    "primary_service_rate_nofb",
-    "run",
-    "run_sweep",
-    "run_traced",
-    "secondary_outage",
-    "secondary_throughput_fb",
-    "secondary_throughput_nofb",
-    "solve_feedback",
-    "solve_nofb",
-    "stability",
-    "sweep_rows",
-    "transition_matrix",
-    "validate_config",
-]
+__all__ = []
+__all__ += chain.__all__
+__all__ += cli.__all__
+__all__ += model.__all__
+__all__ += optimize.__all__
+__all__ += rates.__all__
+__all__ += simulate.__all__

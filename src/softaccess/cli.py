@@ -26,20 +26,23 @@ __all__ = ["Experiment", "validate_config", "run_sweep", "sweep_rows", "main"]
 _DEFAULT_SCHEMES = (Scheme.FEEDBACK, Scheme.NO_FEEDBACK,
                     Scheme.HARD_DECISION, Scheme.GENIE)
 
-_INT_KEYS = {
-    "network.M_p", "network.M_s", "sensing.n",
-    "sim.slots", "sim.warmup", "sim.seed", "sim.replications",
+
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# every config key, with the parser of its value
+_KEYS = {
+    **dict.fromkeys(("network.M_p", "network.M_s", "sensing.n",
+                     "sim.slots", "sim.warmup", "sim.seed", "sim.replications"), int),
+    **dict.fromkeys(("network.lambda_p", "network.G_p", "network.G_s", "network.r_pd",
+                     "network.r_sd", "network.r_ps", "network.gamma", "network.N_0",
+                     "network.zeta_db", "sensing.eta", "sensing.sigma0_sq",
+                     "sensing.sigma1_sq", "sensing.idle_tail",
+                     "sweep.start", "sweep.stop", "sweep.step"), float),
+    **dict.fromkeys(("network.omega_p", "sweep.values"), _floats),
+    **dict.fromkeys(("sweep.variable", "schemes"), str),
 }
-_FLOAT_KEYS = {
-    "network.lambda_p", "network.G_p", "network.G_s", "network.r_pd",
-    "network.r_sd", "network.r_ps", "network.gamma", "network.N_0",
-    "network.zeta_db", "sensing.eta", "sensing.sigma0_sq",
-    "sensing.sigma1_sq", "sensing.idle_tail",
-    "sweep.start", "sweep.stop", "sweep.step",
-}
-_LIST_KEYS = {"network.omega_p", "sweep.values"}
-_STR_KEYS = {"sweep.variable", "schemes"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 MAX_SWEEP_POINTS = 1_000_000  # a start/stop/step grid is built in memory; refuse larger ones
 
 
@@ -76,22 +79,16 @@ def _parse_lines(path):
             key, _, rhs = line.partition("=")
             key = key.strip()
             rhs = rhs.strip()
-            if key not in _ALL_KEYS:
+            parse = _KEYS.get(key)
+            if parse is None:
                 diagnostics.append((key, f"unknown key (line {lineno})"))
                 continue
             try:
-                if key in _INT_KEYS:
-                    value = int(rhs)
-                elif key in _FLOAT_KEYS:
-                    value = float(rhs)
-                elif key in _LIST_KEYS:
-                    value = tuple(float(tok) for tok in rhs.split(",") if tok.strip())
-                else:
-                    value = rhs
+                value = parse(rhs)
             except ValueError:
                 diagnostics.append((key, f"cannot parse {rhs!r} (line {lineno})"))
                 continue
-            floats = (value,) if key in _FLOAT_KEYS else value if key in _LIST_KEYS else ()
+            floats = (value,) if parse is float else value if parse is _floats else ()
             if not all(map(math.isfinite, floats)):
                 diagnostics.append((key, f"must be finite (line {lineno})"))
                 continue
@@ -243,36 +240,24 @@ def sweep_rows(exp: Experiment):
     return rows
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # the scheme token and the seed
 
 
 def _csv_text(exp: Experiment, rows) -> str:
-    n = exp.sensing.n
+    a_columns = [f"a_{i + 1}" for i in range(exp.sensing.n)]
     header = ["sweep_value", "scheme", "feasible", "mu_s", "network_throughput",
-              "mu_p", "delay", "pi0"]
-    header += [f"a_{i + 1}" for i in range(n)]
+              "mu_p", "delay", "pi0", *a_columns]
     if exp.sim is not None:
         header += ["mu_s_hat", "se_mu_s", "delay_hat", "se_delay", "pi0_hat", "seed"]
     lines = [",".join(header)]
     for row in rows:
-        cells = [_fmt(row["sweep_value"]), row["scheme"],
-                 "true" if row["feasible"] else "false"]
-        if row["feasible"]:
-            cells += [_fmt(row["mu_s"]), _fmt(row["network_throughput"]),
-                      _fmt(row["mu_p"]), _fmt(row["delay"]), _fmt(row["pi0"])]
-            a = row["a"]
-            cells += [_fmt(a[i]) if i < len(a) else "" for i in range(n)]
-            if exp.sim is not None:
-                cells += [_fmt(row["mu_s_hat"]), _fmt(row["se_mu_s"]),
-                          _fmt(row["delay_hat"]), _fmt(row["se_delay"]),
-                          _fmt(row["pi0_hat"]), str(row["seed"])]
-        else:
-            pad = 5 + n + (6 if exp.sim is not None else 0)
-            cells += [""] * pad
-        lines.append(",".join(cells))
+        cells = {**row, **dict(zip(a_columns, row.get("a", ())))}
+        lines.append(",".join([_cell(cells[key]) if key in cells else "" for key in header]))
     return "\n".join(lines) + "\n"
 
 

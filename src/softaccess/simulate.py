@@ -36,11 +36,12 @@ _log = logging.getLogger(__name__)
 
 CAP = 1 << 16  # most packets one primary queue may hold; bounds the run's memory
 CHUNK = 1 << 17  # slots per chunk of draws; fewer where CHUNK_BYTES requires it
-CHUNK_BYTES = 1 << 29  # most bytes one chunk's arrays may take
+CHUNK_BYTES = 1 << 29  # most bytes one chunk's arrays, or run_traced's trace, may take
 
 
 class CapacityError(RuntimeError):
-    """A primary queue held more than CAP packets, or one slot took more than CHUNK_BYTES."""
+    """A run passed a memory bound: a primary queue held more than CAP packets,
+    or one slot of a chunk or run_traced's whole trace would take more than CHUNK_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,10 @@ def _new_trace(slots: int, M_p: int) -> np.ndarray:
         ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (M_p,)),
         ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),
     ])
+    if slots * dtype.itemsize > CHUNK_BYTES:
+        raise CapacityError(f"a trace of sim.slots = {slots} at network.M_p = {M_p} takes "
+                            f"{slots * dtype.itemsize} bytes, more than the {CHUNK_BYTES}-byte "
+                            "bound")
     trace = np.zeros(slots, dtype=dtype)
     trace["slot"] = np.arange(slots, dtype=np.int64)
     return trace
@@ -354,7 +359,9 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     Outcomes: 0 quiet, 1 primary success, 2 primary loss, 3 secondary
     success, 4 secondary collision, 5 secondary outage loss. Feedback:
     0 none, 1 ack, 2 nack. The masks are int64 bit sets, so the trace
-    holds at most 63 primaries and 63 secondaries.
+    holds at most 63 primaries and 63 secondaries. The trace takes
+    8 * (M_p + 6) bytes per slot; CapacityError refuses one past
+    CHUNK_BYTES before anything is allocated or drawn.
     """
     sim = sim or SimConfig()
     if sim.replications != 1:

@@ -87,7 +87,7 @@ class TestValidateConfig:
             network.omega_p = 0.5, 0.3, 0.2
         """
         written = {line.split("=")[0].strip() for line in text.split("\n") if "=" in line}
-        assert written == {k for k in cli._ALL_KEYS if k.startswith("network.")}
+        assert written == {k for k in cli._KEYS if k.startswith("network.")}
         exp = validate_config(write_config(tmp_path, text))
         assert exp.base == NetworkConfig(
             M_p=3, M_s=5, lambda_p=0.07, G_p=0.2, G_s=0.05, r_pd=90.0, r_sd=110.0,
@@ -133,6 +133,8 @@ class TestValidateConfig:
         ("sweep.variable = M_s\nsweep.values = 2.5\n", "sweep.values"),
         ("sweep.variable = bandwidth\n", "sweep.variable"),
         ("sensing.idle_tail = 1.5\n", "sensing.idle_tail"),
+        ("sensing.n = 0\n", "sensing"),
+        ("sweep.values =\n", "sweep.values"),
         ("sim.replications = 0\n", "sim"),
         ("just some words\n", "line 1"),
         ("sweep.step = nan\n", "sweep.step"),
@@ -163,6 +165,16 @@ def small_exp():
     cfg = NetworkConfig()
     return Experiment(base=cfg, sensing=default_sensing(cfg),
                       sweep_values=(0.0, 0.1, 0.249))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(sweep_variable="bandwidth"), "sweep_variable"),
+    (dict(sweep_values=()), "sweep grid"),
+    (dict(schemes=()), "schemes"),
+])
+def test_experiment_rejects_bad_fields(small_exp, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(small_exp, **kwargs)
 
 
 class TestSweepRows:

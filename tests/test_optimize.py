@@ -350,9 +350,15 @@ def dense_frontier_max(cfg, sensing, scheme, points=10_001, levels=3):
 class TestDenseFrontierOracle:
     def test_both_solvers_reach_dense_maximum(self):
         rng = np.random.default_rng(59)
+        networks = []
         for _ in range(120):
             cfg, sensing = sample_network(rng, n=int(rng.integers(1, 9)))
-            cfg = dataclasses.replace(cfg, M_s=int(rng.integers(1, 11)))
+            networks.append((dataclasses.replace(cfg, M_s=int(rng.integers(1, 11))), sensing))
+        # the whole idle mass (p0 sums to 0.4) lies below the ALOHA point 1/M_s:
+        # the search runs to the last bin, and both optima are the all-ones policy
+        below_aloha = NetworkConfig(M_s=2, lambda_p=0.05)
+        networks.append((below_aloha, default_sensing(below_aloha, idle_tail=0.6)))
+        for cfg, sensing in networks:
             for scheme, solver in ((Scheme.FEEDBACK, solve_feedback),
                                    (Scheme.NO_FEEDBACK, solve_nofb)):
                 res = solver(cfg, sensing)
@@ -361,6 +367,8 @@ class TestDenseFrontierOracle:
                 assert dense > 0.0
                 assert res.objective >= dense * (1.0 - 1e-9)
                 assert res.objective <= dense * (1.0 + 1e-9)
+                if cfg is below_aloha:
+                    assert res.policy.a == (1.0,) * sensing.n
 
 
 SOFT_SOLVERS = pytest.mark.parametrize(

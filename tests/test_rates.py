@@ -16,6 +16,7 @@ from softaccess import (
     chain_params_from_rates,
     closed_form_distribution,
     default_sensing,
+    delay_fb,
     delta_pi0,
     joint_access_probability,
     pi0_feedback,
@@ -100,6 +101,12 @@ class TestSecondaryThroughput:
         assert isinstance(got, Unstable)
         assert not got
         assert got.margin <= 0.0
+        # the same overload is past chi under feedback too, and every fb quantity says so
+        params = chain_params(cfg, ref_sensing, pol)
+        for got in (pi0_feedback(cfg, ref_sensing, pol), delay_fb(params, cfg.lambda_p),
+                    secondary_throughput_fb(cfg, ref_sensing, pol)):
+            assert isinstance(got, Unstable)
+            assert got.margin == params.chi - cfg.lambda_p < 0.0
 
     def test_feedback_dominates_nofb_pointwise(self):
         rng = np.random.default_rng(5)

@@ -413,6 +413,17 @@ class TestCapacity:
         with pytest.raises(CapacityError, match=r"network\.M_s = 10000000 and network\.M_p = 4"):
             rows(M_s=10_000_000)
 
+    def test_trace_keeps_within_the_memory_bound(self, ref_cfg, ref_sensing, monkeypatch):
+        # a lowered bound: 80 bytes per slot of trace at M_p = 4, so 2,000 slots fit exactly
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 2_000 * 80)
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0))
+        sim = SimConfig(slots=2_000, warmup=100, seed=4, replications=1)
+        _, trace = run_traced(ref_cfg, ref_sensing, pol, sim)
+        assert trace.nbytes == simulate.CHUNK_BYTES
+        with pytest.raises(CapacityError, match=r"sim\.slots = 2001 at network\.M_p = 4 "
+                                                r"takes 160080 bytes"):
+            run_traced(ref_cfg, ref_sensing, pol, dataclasses.replace(sim, slots=2_001))
+
     @pytest.mark.parametrize("scheme", [Scheme.FEEDBACK, Scheme.NO_FEEDBACK])
     def test_raises_exactly_past_cap(self, ref_cfg, ref_sensing, monkeypatch, scheme):
         # overloaded: the queues grow through several chunks
