@@ -61,7 +61,6 @@ class ChainDistribution:
     K: int
     tail_mass: float
     tail_mean: float
-    stable: bool
 
     def total_mass(self) -> float:
         return float(self.pi.sum() + self.eps.sum() + self.tail_mass)
@@ -100,8 +99,7 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
         n = (K if K is not None else default_truncation(0.0)) + 1
         pi = np.zeros(n)
         pi[0] = 1.0
-        return ChainDistribution(pi=pi, eps=np.zeros(n), K=n - 1,
-                                 tail_mass=0.0, tail_mean=0.0, stable=True)
+        return ChainDistribution(pi=pi, eps=np.zeros(n), K=n - 1, tail_mass=0.0, tail_mean=0.0)
     if params.psi >= 1.0 or lam >= params.chi:
         return Unstable(params.chi - lam)
     if K is None:
@@ -131,8 +129,7 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
     r = psi ** (K + 1)
     tail_mass = per_level * r / (1.0 - psi)
     tail_mean = per_level * r * ((K + 1) * (1.0 - psi) + psi) / (1.0 - psi) ** 2
-    return ChainDistribution(pi=pi, eps=eps, K=K,
-                             tail_mass=float(tail_mass), tail_mean=float(tail_mean), stable=True)
+    return ChainDistribution(pi=pi, eps=eps, K=K, tail_mass=float(tail_mass), tail_mean=float(tail_mean))
 
 
 def transition_matrix(params: ChainParams, lambda_p: float, K: int) -> sparse.csr_array:
@@ -211,7 +208,7 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
     nF = K + 1
     pi = x[:nF].copy()
     eps = np.concatenate([[0.0], x[nF:]])
-    return ChainDistribution(pi=pi, eps=eps, K=K, tail_mass=0.0, tail_mean=0.0, stable=True)
+    return ChainDistribution(pi=pi, eps=eps, K=K, tail_mass=0.0, tail_mean=0.0)
 
 
 def delay_nofb(lambda_p: float, mu_p: float) -> RateValue:

@@ -130,15 +130,19 @@ def validate_config(path):
     """
     values, diagnostics = _parse_lines(path)
 
+    def resolve(field, build, fallback):
+        # build one section; a bad value becomes a (field, reason) diagnostic and the fallback
+        try:
+            return build()
+        except (ValueError, TypeError) as exc:
+            diagnostics.append((field, str(exc)))
+            return fallback
+
     # every network.<field> key names a NetworkConfig field, except the dB threshold
     net_kwargs = _section(values, "network.")
     if "zeta_db" in net_kwargs:
         net_kwargs["zeta"] = 10.0 ** (net_kwargs.pop("zeta_db") / 10.0)
-    try:
-        base = NetworkConfig(**net_kwargs)
-    except (ValueError, TypeError) as exc:
-        diagnostics.append(("network", str(exc)))
-        base = NetworkConfig()
+    base = resolve("network", lambda: NetworkConfig(**net_kwargs), NetworkConfig())
 
     sigma0 = values.get("sensing.sigma0_sq", base.N_0 / 2.0)
     sigma1 = values.get("sensing.sigma1_sq",
@@ -149,11 +153,8 @@ def validate_config(path):
         tail = 0.1
     eta = values.get("sensing.eta", -2.0 * sigma0 * math.log(tail))
     n = values.get("sensing.n", 4)
-    try:
-        sensing = SensingConfig(eta=eta, n=n, sigma0_sq=sigma0, sigma1_sq=sigma1)
-    except ValueError as exc:
-        diagnostics.append(("sensing", str(exc)))
-        sensing = None
+    sensing = resolve("sensing", lambda: SensingConfig(eta=eta, n=n, sigma0_sq=sigma0,
+                                                        sigma1_sq=sigma1), None)
 
     variable = values.get("sweep.variable", "lambda_p")
     if variable not in ("lambda_p", "M_s"):
@@ -190,18 +191,9 @@ def validate_config(path):
 
     schemes = _DEFAULT_SCHEMES
     if "schemes" in values:
-        try:
-            schemes = parse_schemes(values["schemes"])
-        except ValueError as exc:
-            diagnostics.append(("schemes", str(exc)))
-
-    sim = None
+        schemes = resolve("schemes", lambda: parse_schemes(values["schemes"]), schemes)
     sim_kwargs = _section(values, "sim.")
-    if sim_kwargs:
-        try:
-            sim = SimConfig(**sim_kwargs)
-        except ValueError as exc:
-            diagnostics.append(("sim", str(exc)))
+    sim = resolve("sim", lambda: SimConfig(**sim_kwargs), None) if sim_kwargs else None
 
     if diagnostics:
         return diagnostics

@@ -168,23 +168,33 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
 
 
 def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
-    """Optimize the feedback-scheme policy exactly.
+    """Optimize the feedback-scheme policy along the greedy prefix frontier.
 
     The objective pi_0 * (1-P_sd) * s0 (1-s0)^(M_s-1) with the feedback
     pi_0 = (chi - lambda_p)/delta_bar is searched along the greedy prefix
-    frontier by a bounded Brent search per frontier segment. The reported
-    objective is the plain rates formula evaluated at the policy, and
-    `iterations` counts objective evaluations.
+    frontier by a bounded Brent search per frontier segment, to an
+    absolute step of 1e-13 in the s1 budget b. When lambda_p/delta_bar
+    is within 1e-3 of 1 the optimal b is itself tiny, and the objective
+    can fall up to 4.7e-10 relative short of a dense frontier evaluation.
+    The objective is flat to rounding near its optimum, so the entries
+    a_i are fixed to about 8 digits. The reported objective is the plain
+    rates formula evaluated at the policy, and `iterations` counts
+    objective evaluations.
     """
     return _frontier_optimum(cfg, sensing, Scheme.FEEDBACK)
 
 
 def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
-    """Optimize the no-feedback policy exactly.
+    """Optimize the no-feedback policy along the greedy prefix frontier.
 
     The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
-    in the s1 budget along the greedy prefix frontier, so a bounded Brent
-    search per frontier segment finds the optimum to machine precision.
+    in the s1 budget b along the greedy prefix frontier, and a bounded
+    Brent search per frontier segment finds its optimum to an absolute
+    step of 1e-13 in b. When lambda_p/delta_bar is within 1e-3 of 1 the
+    optimal b is itself tiny, and the objective can fall up to 4.7e-10
+    relative short of a dense frontier evaluation. The entries a_i are
+    fixed to about 8 digits, since the objective is flat to rounding near
+    its optimum.
     """
     return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
 

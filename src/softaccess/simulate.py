@@ -126,7 +126,7 @@ def _access(e_draws, acc_u, a_vec, scale):
     x = e_draws * scale
     inside = x < a_vec.size  # int(x) < a_vec.size for finite x >= 0; inf and nan fall outside
     pa = np.where(inside, a_vec[np.where(inside, x, 0.0).astype(np.int64)], 0.0)
-    return (pa > 0.0) & (acc_u < pa)
+    return acc_u < pa
 
 
 def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
@@ -273,22 +273,6 @@ def _run_one(kernel, rng, cfg, sim, plan, trace):
     return stats, arr_cnt, dep_cnt, pending
 
 
-def _estimates(stats, span: int, M_s: int):
-    mu_s = stats[0] / (span * M_s)
-    mu_p = stats[2] / stats[1] if stats[1] > 0 else math.nan
-    pi0 = stats[3] / span
-    delay = stats[6] / stats[5] if stats[5] > 0 else math.nan
-    return float(mu_s), float(mu_p), float(pi0), float(delay)
-
-
-def _mean_se(values):
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, math.nan
-    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
 def _new_trace(slots: int, M_p: int) -> np.ndarray:
     dtype = np.dtype([
         ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (M_p,)),
@@ -308,20 +292,22 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     plan = _plan(cfg, sensing, policy, sim)
     start = time.perf_counter()
     span = sim.slots - sim.warmup
-    children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
-    per_rep = []
+    R = sim.replications
+    # rows mu_s, mu_p, pi0 and delay, one column per replication; 0/0 (nothing counted) is nan
+    est = np.empty((4, R))
     collisions = 0
     counts = np.zeros((3, cfg.M_p), dtype=np.int64)  # arrivals, departures, backlog
-    for child in children:
+    for r, child in enumerate(np.random.SeedSequence(sim.seed).spawn(R)):
         rng = np.random.default_rng(child)
         stats, arr_cnt, dep_cnt, pending = _run_one(_sim_chunk_arrays, rng, cfg, sim, plan, trace)
-        per_rep.append(_estimates(stats, span, cfg.M_s))
+        with np.errstate(invalid="ignore"):
+            est[:, r] = stats[[0, 2, 3, 6]] / [span * cfg.M_s, stats[1], span, stats[5]]
         collisions += int(stats[4])
         counts += arr_cnt, dep_cnt, [p.size for p in pending]
-    mu_s, se_mu_s = _mean_se([r[0] for r in per_rep])
-    mu_p, se_mu_p = _mean_se([r[1] for r in per_rep])
-    pi0, se_pi0 = _mean_se([r[2] for r in per_rep])
-    delay, se_delay = _mean_se([r[3] for r in per_rep])
+    # each row is contiguous, so it is summed pairwise like a 1-D mean
+    mu_s, mu_p, pi0, delay = est.mean(axis=1).tolist()
+    se = est.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.full(4, math.nan)
+    se_mu_s, se_mu_p, se_pi0, se_delay = se.tolist()
     report = SimReport(
         mu_s_hat=mu_s, se_mu_s=se_mu_s,
         mu_p_hat=mu_p, se_mu_p=se_mu_p,

@@ -34,7 +34,6 @@ class TestClosedForm:
     def test_zero_arrivals_point_mass(self):
         params = chain_params_from_rates(0.2, 0.7, 0.0)
         dist = closed_form_distribution(params, 0.0)
-        assert dist.stable
         assert dist.pi[0] == 1.0
         assert np.all(dist.pi[1:] == 0.0)
         assert np.all(dist.eps == 0.0)

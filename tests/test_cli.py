@@ -39,6 +39,15 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_module(*args):
+    """Run `python -W error -m softaccess` with args on the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "softaccess", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestValidateConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         exp = validate_config(write_config(tmp_path, ""))
@@ -252,31 +261,10 @@ class TestMain:
     def test_module_entry_point(self, tmp_path):
         # python -m softaccess runs the same main, and warns about nothing
         cfg = write_config(tmp_path, "sweep.values = 0.0, 0.1\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "softaccess", "validate", "--config", cfg],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_module("validate", "--config", cfg)
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
         assert proc.stderr == ""
-
-    def test_validate_bad_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "network.M_p = 0\n")
-        assert main(["validate", "--config", cfg]) == 2
-        assert "network" in capsys.readouterr().err
-
-    def test_output_key_is_unknown(self, tmp_path, capsys):
-        # the CSV path comes only from --out
-        cfg = write_config(tmp_path, "output = sweep.csv\n")
-        assert main(["validate", "--config", cfg]) == 2
-        assert capsys.readouterr().err == "output: unknown key (line 1)\n"
-
-    def test_validate_missing_file(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.conf")
-        assert main(["validate", "--config", missing]) == 2
-        assert "config" in capsys.readouterr().err
 
     def test_sweep_writes_csv_and_plot(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.values = 0.0, 0.1\n")
@@ -328,38 +316,6 @@ class TestMain:
         rows = read_rows(out)
         assert [r["scheme"] for r in rows] == ["genie", "fb"]
 
-    def test_sweep_bad_scheme_filter(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
-        out = tmp_path / "bad.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--schemes", "fb,alien"]) == 2
-        assert "schemes" in capsys.readouterr().err
-        # a repeated token would reorder the rows and write one scheme twice
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--schemes", "fb,nofb,fb"]) == 2
-        assert "listed twice" in capsys.readouterr().err
-
-    def test_sweep_unwritable_output(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
-        assert main(["sweep", "--config", cfg, "--out",
-                     str(tmp_path / "missing" / "x.csv")]) == 2
-        assert "output" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("exc", [
-        CapacityError("primary queue exceeded the ring buffer capacity"),
-        SolveError("stationary solve ill-conditioned: residual 1.000e-03"),
-    ])
-    def test_sweep_failure_exits_two(self, tmp_path, capsys, monkeypatch, exc):
-        def failing_sweep(exp):
-            raise exc
-
-        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
-        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("sweep:") and str(exc) in err
-
     def test_sweep_bug_keeps_traceback(self, tmp_path, monkeypatch):
         def failing_sweep(exp):
             raise ZeroDivisionError("division by zero")
@@ -407,14 +363,6 @@ class TestMain:
                      "--seed", "99"]) == 0
         assert read_rows(out)[0]["seed"] == "99"
 
-    def test_sweep_negative_seed_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "sweep.values = 0.1\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                     "--sim", "--seed", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("seed:")
-        assert not (tmp_path / "x.csv").exists()
-
     def test_ms_sweep_values_render_clean(self, tmp_path):
         cfg = write_config(tmp_path, """
             sweep.variable = M_s
@@ -425,6 +373,58 @@ class TestMain:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out)
         assert [r["sweep_value"] for r in rows] == ["1", "1", "2", "2"]
+
+
+def failing_sweep(exc):
+    def run_sweep(exp):
+        raise exc
+    return run_sweep
+
+
+POINT = "sweep.values = 0.1\n"
+REF = NetworkConfig()
+# near the stability boundary a queue passes a lowered CAP within the run
+NEAR_EDGE = (f"sweep.values = {0.98 * (1.0 - primary_outage(REF)) / REF.M_p!r}\n"
+             "sim.slots = 5000\nsim.warmup = 500\nsim.replications = 1\n")
+SOLVE = SolveError("stationary solve ill-conditioned: residual 1.000e-03")
+QUEUE = CapacityError("a primary queue held more than 65536 packets")
+
+# every documented exit-2 failure: the command, the config text (None: no such
+# file), further argv ("{tmp}" is the test's directory; sweeps write to
+# {tmp}/x.csv unless it says otherwise), {(module, name): value} patches, and
+# the start of the one stderr line; a start ending in a newline is the whole line
+EXIT_TWO = {
+    "config-validate": ("validate", "network.M_p = 0\n", [], {}, "network: "),
+    "config-sweep": ("sweep", "network.M_p = 0\n", [], {}, "network: "),
+    "missing-config": ("validate", None, [], {}, "config: "),
+    # the CSV path comes only from --out
+    "unknown-key": ("validate", "output = sweep.csv\n", [], {}, "output: unknown key (line 1)\n"),
+    "bad-scheme": ("sweep", POINT, ["--schemes", "fb,alien"], {},
+                   "schemes: unknown scheme 'alien'"),
+    # a repeated token would reorder the rows and write one scheme twice
+    "repeated-scheme": ("sweep", POINT, ["--schemes", "fb,nofb,fb"], {},
+                        "schemes: scheme 'fb' is listed twice\n"),
+    "unwritable-out": ("sweep", POINT, ["--out", "{tmp}/missing/x.csv"], {}, "output: "),
+    "negative-seed": ("sweep", POINT, ["--sim", "--seed", "-1"], {}, "seed: "),
+    "solve-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(SOLVE)},
+                    f"sweep: SolveError: {SOLVE}\n"),
+    "capacity-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(QUEUE)},
+                       f"sweep: CapacityError: {QUEUE}\n"),
+    "cap-fb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "fb"], {(simulate, "CAP"): 8},
+               "sweep: CapacityError: a primary queue held more than 8 packets\n"),
+    "cap-nofb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "nofb"], {(simulate, "CAP"): 8},
+                 "sweep: CapacityError: a primary queue held more than 8 packets\n"),
+    # a bound below one slot of the reference network refuses it before any draw
+    "chunk-memory": ("sweep", POINT + "sim.slots = 2000\nsim.warmup = 100\n", ["--sim"],
+                     {(simulate, "CHUNK_BYTES"): 64},
+                     "sweep: CapacityError: one slot of network.M_s = 2"),
+}
+
+
+def exit_two_argv(tmp_path, command, text, extra):
+    cfg = str(tmp_path / "nope.conf") if text is None else write_config(tmp_path, text)
+    out = ["--out", str(tmp_path / "x.csv")] if command == "sweep" else []
+    return [command, "--config", cfg, *out, *(arg.format(tmp=tmp_path) for arg in extra)]
 
 
 class TestExitCodes:
@@ -454,26 +454,24 @@ class TestExitCodes:
             code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out.csv")])
         assert code in (0, 2, 3)
 
-    def test_simulator_memory_bound_exits_two(self, tmp_path, capsys, monkeypatch):
-        # a bound below one slot of the reference network refuses it before any draw
-        monkeypatch.setattr(simulate, "CHUNK_BYTES", 64)
-        cfg = write_config(tmp_path, "sweep.values = 0.1\nsim.slots = 2000\nsim.warmup = 100\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--sim"]) == 2
+    @pytest.mark.parametrize("case", EXIT_TWO.values(), ids=list(EXIT_TWO))
+    def test_exit_two(self, tmp_path, capsys, monkeypatch, case):
+        command, text, extra, patches, start = case
+        for (module, name), value in patches.items():
+            monkeypatch.setattr(module, name, value)
+        # main returns; an exception escaping it fails the test
+        assert main(exit_two_argv(tmp_path, command, text, extra)) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("sweep: CapacityError: one slot of network.M_s = 2")
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith(start), err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))  # no CSV is written
 
-    def test_simulator_capacity_exits_two(self, tmp_path, capsys, monkeypatch):
-        # near the stability boundary a queue passes a lowered CAP within the run
-        monkeypatch.setattr(simulate, "CAP", 8)
-        ref = NetworkConfig()
-        lam = 0.98 * (1.0 - primary_outage(ref)) / ref.M_p
-        cfg = write_config(tmp_path, f"sweep.values = {lam!r}\nsim.slots = 5000\n"
-                                     "sim.warmup = 500\nsim.replications = 1\n")
-        for scheme in ("fb", "nofb"):
-            code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                         "--sim", "--schemes", scheme])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1
-            assert err.startswith("sweep: CapacityError:")
+    def test_exit_two_through_module_entry_point(self, tmp_path):
+        command, text, extra, _, start = EXIT_TWO["negative-seed"]
+        proc = run_module(*exit_two_argv(tmp_path, command, text, extra))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(start), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.csv"))

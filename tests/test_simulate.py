@@ -203,6 +203,32 @@ class TestConvergence:
             assert 0.3 < ratio < 0.75, f
 
 
+class TestReportEdges:
+    """The report's nan cases: a ratio with nothing counted, and SEs at one replication."""
+
+    SE = ("se_mu_s", "se_mu_p", "se_pi0", "se_delay")
+
+    def test_nothing_counted_is_nan(self, ref_sensing):
+        # without arrivals no primary is ever backlogged and no packet departs
+        rep = run(NetworkConfig(lambda_p=0.0), ref_sensing, AccessPolicy((1.0, 0.5, 0.0, 0.0)),
+                  SimConfig(slots=5_000, warmup=500, seed=6, replications=2))
+        for f in ("mu_p_hat", "delay_hat", "se_mu_p", "se_delay"):
+            assert math.isnan(getattr(rep, f)), f
+        assert rep.pi0_hat == 1.0
+        assert rep.se_pi0 == 0.0
+
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_se_needs_two_replications(self, ref_cfg, ref_sensing, replications):
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), Scheme.FEEDBACK)
+        rep = run(ref_cfg, ref_sensing, pol,
+                  SimConfig(slots=5_000, warmup=500, seed=9, replications=replications))
+        ses = [getattr(rep, f) for f in self.SE]
+        if replications == 1:
+            assert all(map(math.isnan, ses)), ses
+        else:
+            assert all(map(math.isfinite, ses)), ses
+
+
 class TestRoundRobin:
     def test_deterministic_ownership_smoke(self, ref_cfg, ref_sensing):
         pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), Scheme.FEEDBACK)
