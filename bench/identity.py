@@ -22,7 +22,10 @@ records, each under its own key:
   MCValidate at its FULL sizes.
 
 An exception is recorded as its type and message. With --against FILE it
-exits 1 and names the first key whose value differs from FILE's, else 0.
+exits 1 when any key's value differs from FILE's, else 0. On a difference
+it prints, for each top-level group (sweep/<config>, evaluate, grid, kkt,
+run, run_traced, mc_validate), how many of its keys differ, then names the
+first key that differs, with both values.
 """
 from __future__ import annotations
 
@@ -56,6 +59,12 @@ MC_SEEDS = (1, 2, 3)
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def group(key: str) -> str:
+    """Top-level group of a key: sweep/<config> for the sweeps, else its first part."""
+    parts = key.split("/")
+    return "/".join(parts[:2]) if parts[0] == "sweep" else parts[0]
 
 
 def capture(sa, workdir: Path) -> dict:
@@ -180,13 +189,18 @@ def main(argv=None) -> int:
     if args.against is None:
         return 0
     other = json.loads(args.against.read_text(encoding="utf-8"))
-    for key in list(other) + [k for k in record if k not in other]:
-        if record.get(key, "<missing>") != other.get(key, "<missing>"):
-            print(f"differs at {key}:\n  {args.against}: {other.get(key, '<missing>')}\n"
-                  f"  {args.out}: {record.get(key, '<missing>')}")
-            return 1
-    print(f"identical to {args.against}: {len(record)} keys")
-    return 0
+    keys = list(other) + [k for k in record if k not in other]
+    differ = [k for k in keys if record.get(k, "<missing>") != other.get(k, "<missing>")]
+    if not differ:
+        print(f"identical to {args.against}: {len(record)} keys")
+        return 0
+    for name in dict.fromkeys(map(group, keys)):
+        moved = sum(group(k) == name for k in differ)
+        print(f"{name}: {moved} of {sum(group(k) == name for k in keys)} keys differ")
+    key = differ[0]
+    print(f"first differs at {key}:\n  {args.against}: {other.get(key, '<missing>')}\n"
+          f"  {args.out}: {record.get(key, '<missing>')}")
+    return 1
 
 
 if __name__ == "__main__":

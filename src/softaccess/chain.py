@@ -86,7 +86,7 @@ def default_truncation(psi: float) -> int:
 def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None = None) -> RateValue:
     """Stationary distribution from the closed-form solution.
 
-    pi_0 = (chi-lambda)/(1-delta), eps_1 = lambda*(1-gamma)*pi_0/chi,
+    pi_0 = margin/(1-delta), margin = chi-lambda, eps_1 = lambda*(1-gamma)*pi_0/chi,
     pi_1 = lambda*(1-delta*(1-lambda))*pi_0/((1-lambda)*chi), and for
     k >= 2 both sequences are geometric in psi:
     eps_k = psi^k * (1-lambda)(1-gamma) pi_0 / (1-chi)^2 and
@@ -100,8 +100,8 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
         pi = np.zeros(n)
         pi[0] = 1.0
         return ChainDistribution(pi=pi, eps=np.zeros(n), K=n - 1, tail_mass=0.0, tail_mean=0.0)
-    if params.psi >= 1.0 or lam >= params.chi:
-        return Unstable(params.chi - lam)
+    if params.psi >= 1.0 or params.margin <= 0.0:
+        return Unstable(params.margin)
     if K is None:
         K = default_truncation(params.psi)
     if K < 2:
@@ -111,7 +111,7 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
     gam_bar = 1.0 - params.gamma_p
     chi = params.chi
     psi = params.psi
-    pi0 = (chi - lam) / (1.0 - params.delta)
+    pi0 = params.margin / (1.0 - params.delta)
 
     pi = np.zeros(K + 1)
     eps = np.zeros(K + 1)
@@ -177,7 +177,7 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
     lam = lambda_p
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda_p must lie in [0, 1]")
-    if lam > 0.0 and (params.psi >= 1.0 or lam >= params.chi):
+    if lam > 0.0 and (params.psi >= 1.0 or params.margin <= 0.0):
         raise ValueError("chain is unstable, no stationary distribution")
     if K is None:
         K = default_truncation(params.psi if lam > 0.0 else 0.0)
@@ -211,34 +211,32 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
     return ChainDistribution(pi=pi, eps=eps, K=K, tail_mass=0.0, tail_mean=0.0)
 
 
-def delay_nofb(lambda_p: float, mu_p: float) -> RateValue:
-    """Mean primary packet delay without feedback, (1-lambda)/(mu-lambda) slots."""
+def delay_nofb(lambda_p: float, *, margin: float) -> RateValue:
+    """Mean primary packet delay without feedback, (1-lambda)/margin slots, margin = mu - lambda."""
     if not 0.0 <= lambda_p <= 1.0:
         raise ValueError("lambda_p must lie in [0, 1]")
-    if lambda_p >= mu_p:
-        return Unstable(mu_p - lambda_p)
-    return (1.0 - lambda_p) / (mu_p - lambda_p)
+    return (1.0 - lambda_p) / margin if margin > 0.0 else Unstable(margin)
 
 
 def delay_fb(params: ChainParams, lambda_p: float) -> RateValue:
     """Mean primary packet delay under the feedback scheme.
 
     [(gamma-chi)(chi-lambda)^2 + (1-lambda)^2 (1-gamma) chi]
-    / [(1-lambda)(1-chi)(1-delta)(chi-lambda)] slots. The primary
-    verification is agreement with Little's law on the stationary
-    distribution, since no derivation is carried here.
+    / [(1-lambda)(1-chi)(1-delta)(chi-lambda)] slots, chi-lambda = params.margin.
+    The primary verification is agreement with Little's law on the
+    stationary distribution, since no derivation is carried here.
     """
     lam = lambda_p
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda_p must lie in [0, 1]")
-    if lam >= params.chi:
-        return Unstable(params.chi - lam)
+    if params.margin <= 0.0:
+        return Unstable(params.margin)
     chi = params.chi
     if chi >= 1.0:
         return 1.0  # deterministic single-slot service corner
     lam_bar = 1.0 - lam
-    num = (params.gamma_p - chi) * (chi - lam) ** 2 + lam_bar ** 2 * (1.0 - params.gamma_p) * chi
-    den = lam_bar * (1.0 - chi) * (1.0 - params.delta) * (chi - lam)
+    num = (params.gamma_p - chi) * params.margin ** 2 + lam_bar ** 2 * (1.0 - params.gamma_p) * chi
+    den = lam_bar * (1.0 - chi) * (1.0 - params.delta) * params.margin
     return num / den
 
 

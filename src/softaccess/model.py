@@ -141,14 +141,18 @@ class SensingConfig:
             raise ValueError("variances must be strictly positive")
         if self.sigma1_sq <= self.sigma0_sq:
             raise ValueError("sigma1_sq must exceed sigma0_sq")
+        for name, sigma_sq in (("_p0", self.sigma0_sq), ("_p1", self.sigma1_sq)):
+            bins = bin_probabilities(self.eta, self.n, sigma_sq)  # fixed by the fields: cache it
+            bins.flags.writeable = False
+            object.__setattr__(self, name, bins)
 
     def p0(self) -> np.ndarray:
-        """Bin probabilities when the sensed channel is idle."""
-        return bin_probabilities(self.eta, self.n, self.sigma0_sq)
+        """Bin probabilities when the sensed channel is idle (read-only)."""
+        return self._p0
 
     def p1(self) -> np.ndarray:
-        """Bin probabilities when the sensed channel is busy."""
-        return bin_probabilities(self.eta, self.n, self.sigma1_sq)
+        """Bin probabilities when the sensed channel is busy (read-only)."""
+        return self._p1
 
 
 def default_sensing(cfg: NetworkConfig, n: int = 4, idle_tail: float = 0.1) -> SensingConfig:

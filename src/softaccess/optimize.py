@@ -44,12 +44,14 @@ from .rates import (
     Unstable,
     _delta_bar,
     _log_aloha_factor,
+    _log_w,
+    _margin,
     chain_params,
-    pi0_feedback,
     primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
+    stability,
 )
 
 __all__ = [
@@ -82,10 +84,10 @@ def _infeasible(scheme: Scheme, n: int) -> OptResult:
 def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
     """Best greedy-prefix policy of a soft scheme (FEEDBACK or NO_FEEDBACK).
 
-    With w = (1-b)^M_s, the no-feedback queue has pi_0 = 1 - lambda/(delta_bar*w)
-    and needs w > lambda/delta_bar; the feedback queue has
-    pi_0 = (chi - lambda)/delta_bar with chi = lambda*delta_bar*w + (1-lambda)*delta_bar
-    and needs w > (lambda - (1-lambda)*delta_bar)/(lambda*delta_bar).
+    With w = (1-b)^M_s, both queues read the margin of `rates._margin`,
+    (delta_bar - lambda) + k*(w - 1): the no-feedback queue (k = delta_bar)
+    has pi_0 = margin/(delta_bar*w), the feedback queue (k = lambda*delta_bar)
+    has pi_0 = margin/delta_bar, and either needs w > 1 - (delta_bar - lambda)/k.
 
     The search ends where s0 reaches 1/M_s or the queue loses stability;
     that stop and the policy at the best budget b, k full bins plus
@@ -99,25 +101,16 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
         return _infeasible(scheme, n)
     p0 = sensing.p0()
     p1 = sensing.p1()
+    feedback = scheme is Scheme.FEEDBACK
+    throughput = secondary_throughput_fb if feedback else secondary_throughput_nofb
+    log_delta_bar = math.log(delta_bar)
 
-    if scheme is Scheme.FEEDBACK:
-        excess = lam - (1.0 - lam) * delta_bar
-        w_floor = excess / (lam * delta_bar) if excess > 0.0 else 0.0
-        log_delta_bar = math.log(delta_bar)
-
-        def log_pi0(b: float) -> float:
-            margin = lam * delta_bar * (1.0 - b) ** M_s + (1.0 - lam) * delta_bar - lam
-            return math.log(margin) - log_delta_bar if margin > 0.0 else -math.inf
-        throughput = secondary_throughput_fb
-    else:
-        w_floor = lam / delta_bar
-
-        def log_pi0(b: float) -> float:
-            mu_p = delta_bar * (1.0 - b) ** M_s
-            if mu_p <= lam:
-                return -math.inf
-            return math.log1p(-lam / mu_p) if lam > 0.0 else 0.0
-        throughput = secondary_throughput_nofb
+    def log_pi0(b: float) -> float:
+        log_w = M_s * math.log1p(-b)
+        margin = _margin(delta_bar, lam, feedback, log_w)
+        if margin <= 0.0:
+            return -math.inf
+        return math.log(margin) - log_delta_bar - (0.0 if feedback else log_w)
 
     prefix0 = np.concatenate([[0.0], np.cumsum(p0)])
     prefix1 = np.concatenate([[0.0], np.cumsum(p1)])
@@ -129,7 +122,11 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
         b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
     else:
         b_target = prefix1[n]
-    b_stab = 1.0 - w_floor ** (1.0 / M_s)
+    # the margin falls by k = (delta_bar - lam) - floor as w goes from 1 to 0, so it
+    # reaches zero at w = 1 - (delta_bar - lam)/k unless floor >= 0
+    floor = _margin(delta_bar, lam, feedback, -math.inf)
+    log_w_stab = math.log1p((lam - delta_bar) / (delta_bar - lam - floor)) if floor < 0.0 else -math.inf
+    b_stab = -math.expm1(log_w_stab / M_s)
     hi = min(float(p1.sum()), b_target, b_stab * (1.0 - 1e-12))
 
     def log_objective(b: float, seg: int) -> float:
@@ -173,9 +170,10 @@ def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     The objective pi_0 * (1-P_sd) * s0 (1-s0)^(M_s-1) with the feedback
     pi_0 = (chi - lambda_p)/delta_bar is searched along the greedy prefix
     frontier by a bounded Brent search per frontier segment, to an
-    absolute step of 1e-13 in the s1 budget b. When lambda_p/delta_bar
-    is within 1e-3 of 1 the optimal b is itself tiny, and the objective
-    can fall up to 4.7e-10 relative short of a dense frontier evaluation.
+    absolute step of 1e-13 in the s1 budget b. In exact arithmetic, at
+    lambda_p/delta_bar = 1 - eps, it falls at most 4.7e-15 relative short
+    of a local search within 0.1% of its b for eps in [1e-6, 1e-3], and
+    5.2e-13 for eps in [1e-9, 1e-6] (300 networks each).
     The objective is flat to rounding near its optimum, so the entries
     a_i are fixed to about 8 digits. The reported objective is the plain
     rates formula evaluated at the policy, and `iterations` counts
@@ -190,11 +188,11 @@ def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
     in the s1 budget b along the greedy prefix frontier, and a bounded
     Brent search per frontier segment finds its optimum to an absolute
-    step of 1e-13 in b. When lambda_p/delta_bar is within 1e-3 of 1 the
-    optimal b is itself tiny, and the objective can fall up to 4.7e-10
-    relative short of a dense frontier evaluation. The entries a_i are
-    fixed to about 8 digits, since the objective is flat to rounding near
-    its optimum.
+    step of 1e-13 in b. In exact arithmetic, at lambda_p/delta_bar = 1 - eps,
+    it falls at most 5.3e-15 relative short of a local search within 0.1%
+    of its b for eps in [1e-6, 1e-3], and 6.8e-13 for eps in [1e-9, 1e-6]
+    (300 networks each). The entries a_i are fixed to about 8 digits,
+    since the objective is flat to rounding near its optimum.
     """
     return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
 
@@ -215,7 +213,7 @@ def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: Access
     s0 = float(p0 @ a)
     s1 = float(p1 @ a)
     mu_p = delta_bar * (1.0 - s1) ** M_s
-    pi0 = 1.0 - lam / mu_p
+    pi0 = _margin(delta_bar, lam, False, _log_w(s1, M_s)) / mu_p
     h = s0 * (1.0 - s0) ** (M_s - 1)
     dh = (1.0 - s0) ** (M_s - 2) * (1.0 - M_s * s0) if M_s > 1 else 1.0
     dpi0 = -lam * M_s / (delta_bar * (1.0 - s1) ** (M_s + 1))
@@ -255,7 +253,7 @@ def baseline_genie(cfg: NetworkConfig) -> OptResult:
     if cfg.lambda_p >= delta_bar:
         return _infeasible(Scheme.GENIE, 1)
     a_star = 1.0 / cfg.M_s
-    pi0 = 1.0 - cfg.lambda_p / delta_bar
+    pi0 = (delta_bar - cfg.lambda_p) / delta_bar
     mu = pi0 * (1.0 - secondary_outage(cfg)) * a_star * (1.0 - a_star) ** (cfg.M_s - 1)
     policy = AccessPolicy((a_star,), Scheme.GENIE)
     return OptResult(policy=policy, objective=mu, feasible=True, iterations=1)
@@ -296,12 +294,13 @@ def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme, *,
         res, sens = baseline_genie(cfg), None
     if not res.feasible:
         return Point(res, sens, math.nan, math.nan, math.nan)
+    margin = stability(cfg, sens, res.policy, scheme).margin
     if scheme is Scheme.FEEDBACK:
         params = chain_params(cfg, sens, res.policy)
-        return Point(res, sens, params.gamma_p, float(pi0_feedback(cfg, sens, res.policy)),
+        return Point(res, sens, params.gamma_p, margin / _delta_bar(cfg),
                      float(delay_fb(params, cfg.lambda_p)))
     mu_p = _delta_bar(cfg) if sens is None else primary_service_rate_nofb(cfg, sens, res.policy)
-    return Point(res, sens, mu_p, 1.0 - cfg.lambda_p / mu_p, float(delay_nofb(cfg.lambda_p, mu_p)))
+    return Point(res, sens, mu_p, margin / mu_p, float(delay_nofb(cfg.lambda_p, margin=margin)))
 
 
 def _aligned_empty(shape, dtype=np.float64):

@@ -77,12 +77,14 @@ class ChainParams:
     delta   : failure probability of a retransmission in a slot
     chi     : composite drift lambda_p*gamma_p + (1-lambda_p)*(1-delta)
     psi     : geometric load ratio lambda_p*(1-chi) / ((1-lambda_p)*chi)
+    margin  : service headroom chi - lambda_p, the queue's stability margin
     """
 
     gamma_p: float
     delta: float
     chi: float
     psi: float
+    margin: float
 
 
 def primary_outage(cfg: NetworkConfig) -> float:
@@ -100,8 +102,23 @@ def _delta_bar(cfg: NetworkConfig) -> float:
     return (1.0 - primary_outage(cfg)) / cfg.M_p
 
 
+def _margin(delta_bar: float, lam: float, feedback: bool, log_w: float) -> float:
+    """Stability margin of the primary queue: mu_p - lambda, or chi - lambda with feedback.
+
+    With w = (1-s1)^M_s = exp(log_w), both are (delta_bar - lambda) + k*(w - 1),
+    k = delta_bar or lambda*delta_bar, a form without cancellation: delta_bar -
+    lambda is exact near the edge (Sterbenz), and expm1 keeps a small s1 accurate.
+    """
+    return (delta_bar - lam) + (lam * delta_bar if feedback else delta_bar) * math.expm1(log_w)
+
+
+def _log_w(s1: float, M_s: int) -> float:
+    # log (1-s1)^M_s; log1p(-1) raises, and expm1(-inf) is the -1 that s1 = 1 needs
+    return M_s * math.log1p(-s1) if s1 < 1.0 else -math.inf
+
+
 def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> ChainParams:
-    """Assemble ChainParams from raw per-slot probabilities."""
+    """Assemble ChainParams from raw per-slot probabilities; the margin is chi - lambda_p."""
     if not 0.0 <= gamma_p <= 1.0 or not 0.0 <= delta <= 1.0:
         raise ValueError("gamma_p and delta must lie in [0, 1]")
     if not 0.0 <= lambda_p <= 1.0:
@@ -114,15 +131,16 @@ def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> Ch
         psi = math.inf
     else:
         psi = lambda_p * (1.0 - chi) / (lam_bar * chi)
-    return ChainParams(gamma_p=gamma_p, delta=delta, chi=chi, psi=psi)
+    return ChainParams(gamma_p=gamma_p, delta=delta, chi=chi, psi=psi, margin=chi - lambda_p)
 
 
 def chain_params(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> ChainParams:
     """ChainParams for a concrete network, detector and access policy."""
     s1 = joint_access_probability(policy, sensing.p1())
     base = _delta_bar(cfg)
-    gamma_p = base * (1.0 - s1) ** cfg.M_s
-    return chain_params_from_rates(gamma_p, 1.0 - base, cfg.lambda_p)
+    p = chain_params_from_rates(base * (1.0 - s1) ** cfg.M_s, 1.0 - base, cfg.lambda_p)
+    margin = _margin(base, cfg.lambda_p, True, _log_w(s1, cfg.M_s))
+    return ChainParams(p.gamma_p, p.delta, p.chi, p.psi, margin)
 
 
 def primary_service_rate_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
@@ -134,23 +152,19 @@ def primary_service_rate_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy
 
 
 def pi0_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """Empty-queue probability without feedback, 1 - lambda_p/mu_p by Little's law."""
-    mu_p = primary_service_rate_nofb(cfg, sensing, policy)
-    if cfg.lambda_p >= mu_p:
-        return Unstable(mu_p - cfg.lambda_p)
-    return 1.0 - cfg.lambda_p / mu_p
+    """Empty-queue probability without feedback, (mu_p - lambda_p)/mu_p by Little's law."""
+    margin = stability(cfg, sensing, policy, Scheme.NO_FEEDBACK).margin
+    return margin / primary_service_rate_nofb(cfg, sensing, policy) if margin > 0.0 else Unstable(margin)
 
 
 def pi0_feedback(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """Empty-queue probability under the feedback scheme, (chi - lambda_p)/(1 - delta).
+    """Empty-queue probability under the feedback scheme, (chi - lambda_p)/delta_bar.
 
     It equals the expanded form 1 - lambda_p*(1 + M_p/(1-P_pd) - (1-s1)^M_s),
     which the tests hold it against.
     """
-    params = chain_params(cfg, sensing, policy)
-    if cfg.lambda_p >= params.chi:
-        return Unstable(params.chi - cfg.lambda_p)
-    return (params.chi - cfg.lambda_p) / (1.0 - params.delta)
+    margin = stability(cfg, sensing, policy, Scheme.FEEDBACK).margin
+    return margin / _delta_bar(cfg) if margin > 0.0 else Unstable(margin)
 
 
 def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -161,13 +175,12 @@ def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) 
     """
     if cfg.lambda_p == 0.0:
         return 0.0
-    params = chain_params(cfg, sensing, policy)
-    if cfg.lambda_p >= params.gamma_p:
-        # no-feedback side unstable, difference undefined
-        return Unstable(params.gamma_p - cfg.lambda_p)
-    s1 = joint_access_probability(policy, sensing.p1())
-    bracket = 1.0 - (1.0 - s1) ** cfg.M_s
-    return cfg.lambda_p * (1.0 - params.gamma_p) / params.gamma_p * bracket
+    margin = stability(cfg, sensing, policy, Scheme.NO_FEEDBACK).margin
+    if margin <= 0.0:  # no-feedback side unstable, difference undefined
+        return Unstable(margin)
+    gamma_p = primary_service_rate_nofb(cfg, sensing, policy)
+    bracket = -math.expm1(_log_w(joint_access_probability(policy, sensing.p1()), cfg.M_s))
+    return cfg.lambda_p * (1.0 - gamma_p) / gamma_p * bracket
 
 
 def _throughput(pi0: RateValue, cfg: NetworkConfig, sensing: SensingConfig,
@@ -210,13 +223,8 @@ def stability(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy, 
 
     No-feedback and hard-decision queues need lambda_p < mu_p; the
     feedback queue needs lambda_p < chi; the genie queue sees no secondary
-    interference at all, so its margin is (1-P_pd)/M_p - lambda_p.
+    interference at all (s1 = 0), so its margin is (1-P_pd)/M_p - lambda_p.
     """
-    params = chain_params(cfg, sensing, policy)
-    if scheme is Scheme.FEEDBACK:
-        margin = params.chi - cfg.lambda_p
-    elif scheme is Scheme.GENIE:
-        margin = (1.0 - params.delta) - cfg.lambda_p
-    else:
-        margin = params.gamma_p - cfg.lambda_p
+    s1 = 0.0 if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p1())
+    margin = _margin(_delta_bar(cfg), cfg.lambda_p, scheme is Scheme.FEEDBACK, _log_w(s1, cfg.M_s))
     return StabilityReport(stable=margin > 0.0, margin=margin)

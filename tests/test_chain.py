@@ -235,23 +235,23 @@ class TestTruncation:
 
 class TestDelay:
     def test_nofb_reference(self):
-        assert delay_nofb(0.1219, 0.2438) == pytest.approx(7.203445447087777,
-                                                           rel=1e-12)
+        assert delay_nofb(0.1219, margin=0.2438 - 0.1219) == pytest.approx(
+            7.203445447087777, rel=1e-12)
 
     def test_nofb_light_traffic_limit(self):
-        assert delay_nofb(0.0, 0.25) == pytest.approx(4.0, rel=1e-15)
+        assert delay_nofb(0.0, margin=0.25) == pytest.approx(4.0, rel=1e-15)
 
     def test_nofb_at_least_service_time(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             mu = rng.uniform(0.05, 1.0)
             lam = rng.uniform(0.0, mu * 0.99)
-            d = delay_nofb(lam, mu)
+            d = delay_nofb(lam, margin=mu - lam)
             assert d >= (1.0 - lam) / mu - 1e-12
             assert d >= 1.0 - lam
 
     def test_nofb_unstable(self):
-        got = delay_nofb(0.3, 0.25)
+        got = delay_nofb(0.3, margin=0.25 - 0.3)
         assert isinstance(got, Unstable)
 
     def test_fb_littles_law(self):
@@ -269,7 +269,7 @@ class TestDelay:
         params = chain_params(ref_cfg, ref_sensing, silent)
         mu = params.gamma_p
         d_fb = delay_fb(params, ref_cfg.lambda_p)
-        d_no = delay_nofb(ref_cfg.lambda_p, mu)
+        d_no = delay_nofb(ref_cfg.lambda_p, margin=mu - ref_cfg.lambda_p)
         assert d_fb == pytest.approx(d_no, rel=1e-12)
 
     def test_fb_saturated_service_corner(self):

@@ -55,7 +55,7 @@ class TestSolveFeedback:
         assert res.objective == pytest.approx(FB_OBJ_REF, rel=1e-12)
         assert res.policy.scheme is Scheme.FEEDBACK
         assert res.policy.a[0] == pytest.approx(1.0)
-        assert res.policy.a[1] == pytest.approx(0.2488844219184036, rel=1e-12)
+        assert res.policy.a[1] == pytest.approx(0.2488844033153971, rel=1e-12)
         assert res.policy.a[2] == 0.0 and res.policy.a[3] == 0.0
 
     def test_objective_is_rates_formula(self, ref_cfg, ref_sensing):
@@ -484,11 +484,12 @@ class TestEvaluate:
                             delay_fb(params, lam))
             elif scheme is Scheme.GENIE:
                 mu_p = delta_bar(cfg)
-                expected = (mu_p, 1.0 - lam / mu_p, delay_nofb(lam, mu_p))
+                expected = (mu_p, (mu_p - lam) / mu_p, delay_nofb(lam, margin=mu_p - lam))
             else:
                 sens = sensing if scheme is Scheme.NO_FEEDBACK else hard_decision_sensing(sensing)
                 mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
-                expected = (mu_p, pi0_nofb(cfg, sens, res.policy), delay_nofb(lam, mu_p))
+                margin = stability(cfg, sens, res.policy, scheme).margin
+                expected = (mu_p, pi0_nofb(cfg, sens, res.policy), delay_nofb(lam, margin=margin))
             assert (point.mu_p, point.pi0, point.delay) == expected
         assert not evaluate(NetworkConfig(lambda_p=0.25), ref_sensing, scheme).result.feasible
         assert feasible == len(cases) - 1

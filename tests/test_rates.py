@@ -106,7 +106,7 @@ class TestSecondaryThroughput:
         for got in (pi0_feedback(cfg, ref_sensing, pol), delay_fb(params, cfg.lambda_p),
                     secondary_throughput_fb(cfg, ref_sensing, pol)):
             assert isinstance(got, Unstable)
-            assert got.margin == params.chi - cfg.lambda_p < 0.0
+            assert got.margin == params.margin < 0.0
 
     def test_feedback_dominates_nofb_pointwise(self):
         rng = np.random.default_rng(5)
