@@ -19,12 +19,17 @@ records, each under its own key:
   for fb, nofb, genie, hard and round-robin;
 - the sha256 of the `--sim` CSV of each mc_validate invocation (fb and
   nofb apart) at seeds 1-3, through perfbench/workloads.py's own
-  MCValidate at its FULL sizes.
+  MCValidate at its FULL sizes;
+- for each rung of oracle_check's psi ladder (perfbench/workloads.py's
+  `ladder_lambda`, gamma_p = 0.2, delta = 0.75, FULL sizes): the sha256
+  of the closed-form and of the numeric pi and eps at the rung's default
+  truncation, `delay_fb` and the Little's-law delay, as oracle_check
+  computes them.
 
 An exception is recorded as its type and message. With --against FILE it
 exits 1 when any key's value differs from FILE's, else 0. On a difference
 it prints, for each top-level group (sweep/<config>, evaluate, grid, kkt,
-run, run_traced, mc_validate), how many of its keys differ, then names the
+run, run_traced, mc_validate, chain), how many of its keys differ, then names the
 first key that differs, with both values.
 """
 from __future__ import annotations
@@ -168,6 +173,20 @@ def capture(sa, workdir: Path) -> dict:
                 code if exc is None else f"raise {type(exc).__name__}: {exc}")
             put(f"mc_validate/{seed}/{scheme}/csv",
                 lambda: sha((mc_dir / f"mc_{scheme}.csv").read_bytes()))
+
+    def dist_sha(dist):
+        return sha(dist.pi.tobytes() + dist.eps.tobytes())
+
+    # oracle_check's chain values, computed as its execute() does
+    for psi in workloads.FULL.ladder:
+        lam = workloads.ladder_lambda(psi)
+        params = sa.chain_params_from_rates(0.2, 0.75, lam)
+        K = sa.default_truncation(params.psi)
+        put(f"chain/{psi!r}/closed", lambda: dist_sha(sa.closed_form_distribution(params, lam, K=K)))
+        put(f"chain/{psi!r}/numeric", lambda: dist_sha(sa.numeric_distribution(params, lam, K=K)))
+        put(f"chain/{psi!r}/delay_fb", lambda: repr(sa.delay_fb(params, lam)))
+        put(f"chain/{psi!r}/little", lambda: repr(
+            sa.littles_law_delay(sa.closed_form_distribution(params, lam), lam)))
     return record
 
 

@@ -5,13 +5,14 @@ where k is the backlog and the phase says whether the head packet is on
 its first transmission (F) or being retransmitted (R). Per slot, with
 arrival rate lambda_p, a first transmission succeeds with probability
 gamma_p and any failure (collision, outage, or not owning the slot) moves
-the head to R; a retransmission succeeds with probability 1 - delta and
-secondaries stay off it. Closed-form stationary probabilities exist for
-psi < 1; an independent numeric solve serves as the cross-oracle. It
-truncates the chain at backlog K, takes the sparse transition matrix of
-`transition_matrix` and solves the banded balance equations with one
-sparse LU factorization, which reaches any psi whose default truncation K
-stays within the 1e5 cap (psi up to about 0.9997).
+the head to R; a retransmission succeeds with probability beta, which is
+delta_bar with feedback (secondaries stay off it) and gamma_p without, a
+Bernoulli server (`rates.chain_params`). Closed-form stationary
+probabilities exist for psi < 1; an independent numeric solve serves as
+the cross-oracle. It truncates the chain at backlog K, takes the sparse
+transition matrix of `transition_matrix` and solves the banded balance
+equations with one sparse LU factorization, which reaches any psi whose
+default truncation K stays within the 1e5 cap (psi up to about 0.9997).
 
 Flat state indexing used by the numeric path: [F_0 .. F_K, R_1 .. R_K].
 """
@@ -33,7 +34,6 @@ __all__ = [
     "closed_form_distribution",
     "transition_matrix",
     "numeric_distribution",
-    "delay_nofb",
     "delay_fb",
     "littles_law_delay",
 ]
@@ -86,7 +86,7 @@ def default_truncation(psi: float) -> int:
 def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None = None) -> RateValue:
     """Stationary distribution from the closed-form solution.
 
-    pi_0 = margin/(1-delta), margin = chi-lambda, eps_1 = lambda*(1-gamma)*pi_0/chi,
+    pi_0 = margin/beta, margin = chi-lambda, eps_1 = lambda*(1-gamma)*pi_0/chi,
     pi_1 = lambda*(1-delta*(1-lambda))*pi_0/((1-lambda)*chi), and for
     k >= 2 both sequences are geometric in psi:
     eps_k = psi^k * (1-lambda)(1-gamma) pi_0 / (1-chi)^2 and
@@ -111,7 +111,7 @@ def closed_form_distribution(params: ChainParams, lambda_p: float, K: int | None
     gam_bar = 1.0 - params.gamma_p
     chi = params.chi
     psi = params.psi
-    pi0 = params.margin / (1.0 - params.delta)
+    pi0 = params.margin / params.beta
 
     pi = np.zeros(K + 1)
     eps = np.zeros(K + 1)
@@ -146,7 +146,7 @@ def transition_matrix(params: ChainParams, lambda_p: float, K: int) -> sparse.cs
     g = params.gamma_p
     g_bar = 1.0 - g
     d = params.delta
-    d_bar = 1.0 - d
+    d_bar = params.beta
 
     n = 2 * K + 1
     # row F_0 moves to (F_0, F_1); rows F_1 .. F_K, then R_1 .. R_K, move
@@ -211,20 +211,13 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
     return ChainDistribution(pi=pi, eps=eps, K=K, tail_mass=0.0, tail_mean=0.0)
 
 
-def delay_nofb(lambda_p: float, *, margin: float) -> RateValue:
-    """Mean primary packet delay without feedback, (1-lambda)/margin slots, margin = mu - lambda."""
-    if not 0.0 <= lambda_p <= 1.0:
-        raise ValueError("lambda_p must lie in [0, 1]")
-    return (1.0 - lambda_p) / margin if margin > 0.0 else Unstable(margin)
-
-
 def delay_fb(params: ChainParams, lambda_p: float) -> RateValue:
-    """Mean primary packet delay under the feedback scheme.
+    """Mean primary packet delay of the chain, for every scheme.
 
-    [(gamma-chi)(chi-lambda)^2 + (1-lambda)^2 (1-gamma) chi]
-    / [(1-lambda)(1-chi)(1-delta)(chi-lambda)] slots, chi-lambda = params.margin.
-    The primary verification is agreement with Little's law on the
-    stationary distribution, since no derivation is carried here.
+    [(gamma-beta) m^2 + (1-lambda)(1-gamma) chi] / [(lambda(1-gamma) + (1-lambda) delta) beta m]
+    slots, m = chi-lambda = params.margin: gamma-chi is written (1-lambda)(gamma-beta) and 1-chi
+    a sum of complements, so neither cancels. At beta = gamma it is (1-lambda)/m. The primary
+    verification is agreement with Little's law on the stationary distribution.
     """
     lam = lambda_p
     if not 0.0 <= lam <= 1.0:
@@ -235,8 +228,9 @@ def delay_fb(params: ChainParams, lambda_p: float) -> RateValue:
     if chi >= 1.0:
         return 1.0  # deterministic single-slot service corner
     lam_bar = 1.0 - lam
-    num = (params.gamma_p - chi) * params.margin ** 2 + lam_bar ** 2 * (1.0 - params.gamma_p) * chi
-    den = lam_bar * (1.0 - chi) * (1.0 - params.delta) * params.margin
+    gam_bar = 1.0 - params.gamma_p
+    num = (params.gamma_p - params.beta) * params.margin ** 2 + lam_bar * gam_bar * chi
+    den = (lam * gam_bar + lam_bar * params.delta) * params.beta * params.margin
     return num / den
 
 

@@ -43,7 +43,7 @@ _KEYS = {
     **dict.fromkeys(("network.omega_p", "sweep.values"), _floats),
     **dict.fromkeys(("sweep.variable", "schemes"), str),
 }
-MAX_SWEEP_POINTS = 1_000_000  # a start/stop/step grid is built in memory; refuse larger ones
+MAX_COUNT = 1_000_000  # sweep points, primaries, bins or replications; each is built in memory
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,10 @@ def validate_config(path):
     and a lambda sweep from 0 to 0.25 in steps of 0.005).
     """
     values, diagnostics = _parse_lines(path)
+    for key in ("network.M_p", "sensing.n", "sim.replications"):
+        if values.get(key, 0) > MAX_COUNT:
+            diagnostics.append((key, f"must be at most {MAX_COUNT:,}"))
+            del values[key]
 
     def resolve(field, build, fallback):
         # build one section; a bad value becomes a (field, reason) diagnostic and the fallback
@@ -173,8 +177,8 @@ def validate_config(path):
             diagnostics.append(("sweep.step", "must be positive"))
         elif stop < start:
             diagnostics.append(("sweep.stop", "must be >= sweep.start"))
-        elif (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:  # before building; may be inf
-            diagnostics.append(("sweep.step", f"grid has more than {MAX_SWEEP_POINTS:,} points"))
+        elif (stop - start) / step + 1e-9 >= MAX_COUNT:  # before building; may be inf
+            diagnostics.append(("sweep.step", f"grid has more than {MAX_COUNT:,} points"))
         else:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             sweep_values = tuple(start + i * step for i in range(count))

@@ -26,8 +26,9 @@ the feedback one is concave only while (M_s-1)*c0 <= c1*(1-b)^M_s, with
 c0 = delta_bar*(1-lambda) - lambda and c1 = lambda*delta_bar, so the
 tests hold both schemes against a dense frontier evaluation.
 
-`evaluate` is the one place that maps a scheme to its solver, detector
-and primary-queue formulas; the CLI and the acceptance tests read it.
+`evaluate` is the one place that maps a scheme to its solver and detector,
+and reads its primary queue from `rates.chain_params`; the CLI and the
+acceptance tests read it.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .chain import delay_fb, delay_nofb
+from .chain import delay_fb
 from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
@@ -47,11 +48,9 @@ from .rates import (
     _log_w,
     _margin,
     chain_params,
-    primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
-    stability,
 )
 
 __all__ = [
@@ -279,10 +278,10 @@ def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme, *,
              fb_solver=None, nofb_solver=None) -> Point:
     """Optimize one scheme and evaluate its primary service rate, pi_0 and delay.
 
-    The feedback queue is the chain of `chain_params`; every other
-    scheme's queue is a Bernoulli server of rate mu_p, interference-free
-    for the genie. The CLI passes its own `solve_feedback`/`solve_nofb` as
-    `fb_solver`/`nofb_solver`, so a solver rebound on `cli` reaches the sweep.
+    Every scheme's queue is its chain of `chain_params`: mu_p is gamma_p,
+    pi_0 is margin/beta and the delay is `delay_fb`'s. The CLI passes its
+    own `solve_feedback`/`solve_nofb` as `fb_solver`/`nofb_solver`, so a
+    solver rebound on `cli` reaches the sweep.
     """
     if scheme is Scheme.FEEDBACK:
         res, sens = (fb_solver or solve_feedback)(cfg, sensing), sensing
@@ -294,13 +293,8 @@ def evaluate(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme, *,
         res, sens = baseline_genie(cfg), None
     if not res.feasible:
         return Point(res, sens, math.nan, math.nan, math.nan)
-    margin = stability(cfg, sens, res.policy, scheme).margin
-    if scheme is Scheme.FEEDBACK:
-        params = chain_params(cfg, sens, res.policy)
-        return Point(res, sens, params.gamma_p, margin / _delta_bar(cfg),
-                     float(delay_fb(params, cfg.lambda_p)))
-    mu_p = _delta_bar(cfg) if sens is None else primary_service_rate_nofb(cfg, sens, res.policy)
-    return Point(res, sens, mu_p, margin / mu_p, float(delay_nofb(cfg.lambda_p, margin=margin)))
+    p = chain_params(cfg, sens, res.policy, scheme)
+    return Point(res, sens, p.gamma_p, p.margin / p.beta, float(delay_fb(p, cfg.lambda_p)))
 
 
 def _aligned_empty(shape, dtype=np.float64):

@@ -1,11 +1,14 @@
-"""Closed-form throughput and occupancy expressions for both access schemes.
+"""Closed-form throughput and occupancy expressions for every access scheme.
 
 Notation used throughout: s0 and s1 are the probabilities that one
 secondary user senses-and-accesses while the channel is idle or busy,
-delta_bar = (1-P_pd)/M_p is the per-slot service probability of a primary
-retransmission (own the slot, clear link), and gamma_p is the per-slot
-first-transmission service probability, which also multiplies in the
-chance that no secondary interferes.
+delta_bar = (1-P_pd)/M_p is the per-slot probability that a primary owns
+the slot over a clear link, and gamma_p = delta_bar*(1-s1)^M_s is the
+per-slot success probability of a first transmission, which also
+multiplies in the chance that no secondary interferes.
+Every scheme's primary queue is the one chain of `chain_params`, whose
+retransmissions succeed with beta: delta_bar with feedback, gamma_p
+(a Bernoulli server) without. Every pi_0, delay and stability check reads it.
 
 The secondary-link complement (1 - P_sd) uses the same outage law as the
 primary link; a superscript-zero variant of that symbol that appears in
@@ -37,8 +40,7 @@ __all__ = [
     "chain_params",
     "chain_params_from_rates",
     "primary_service_rate_nofb",
-    "pi0_nofb",
-    "pi0_feedback",
+    "pi0",
     "delta_pi0",
     "secondary_throughput_nofb",
     "secondary_throughput_fb",
@@ -74,17 +76,21 @@ class ChainParams:
     """Per-slot transition probabilities of the primary-queue chain.
 
     gamma_p : success probability of a first transmission in a slot
-    delta   : failure probability of a retransmission in a slot
-    chi     : composite drift lambda_p*gamma_p + (1-lambda_p)*(1-delta)
+    beta    : success probability of a retransmission in a slot
+    chi     : composite drift lambda_p*gamma_p + (1-lambda_p)*beta
     psi     : geometric load ratio lambda_p*(1-chi) / ((1-lambda_p)*chi)
-    margin  : service headroom chi - lambda_p, the queue's stability margin
+    margin  : service headroom chi - lambda_p, the queue's stability margin; pi_0 = margin/beta
     """
 
     gamma_p: float
-    delta: float
+    beta: float
     chi: float
     psi: float
     margin: float
+
+    @property
+    def delta(self) -> float:
+        return 1.0 - self.beta
 
 
 def primary_outage(cfg: NetworkConfig) -> float:
@@ -117,30 +123,37 @@ def _log_w(s1: float, M_s: int) -> float:
     return M_s * math.log1p(-s1) if s1 < 1.0 else -math.inf
 
 
+def _chain(gamma_p: float, beta: float, lambda_p: float, margin: float | None = None) -> ChainParams:
+    # chi and psi of the chain; the margin defaults to chi - lambda_p
+    lam_bar = 1.0 - lambda_p
+    chi = clamp_probability(lambda_p * gamma_p + lam_bar * beta)
+    den = lam_bar * chi
+    psi = 0.0 if lambda_p == 0.0 else math.inf if den == 0.0 else lambda_p * (1.0 - chi) / den
+    return ChainParams(gamma_p=gamma_p, beta=beta, chi=chi, psi=psi,
+                       margin=chi - lambda_p if margin is None else margin)
+
+
 def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> ChainParams:
-    """Assemble ChainParams from raw per-slot probabilities; the margin is chi - lambda_p."""
+    """Assemble ChainParams from raw per-slot probabilities, beta = 1 - delta; the margin is chi - lambda_p."""
     if not 0.0 <= gamma_p <= 1.0 or not 0.0 <= delta <= 1.0:
         raise ValueError("gamma_p and delta must lie in [0, 1]")
     if not 0.0 <= lambda_p <= 1.0:
         raise ValueError("lambda_p must lie in [0, 1]")
-    lam_bar = 1.0 - lambda_p
-    chi = clamp_probability(lambda_p * gamma_p + lam_bar * (1.0 - delta))
-    if lambda_p == 0.0:
-        psi = 0.0
-    elif lam_bar * chi == 0.0:
-        psi = math.inf
-    else:
-        psi = lambda_p * (1.0 - chi) / (lam_bar * chi)
-    return ChainParams(gamma_p=gamma_p, delta=delta, chi=chi, psi=psi, margin=chi - lambda_p)
+    return _chain(gamma_p, 1.0 - delta, lambda_p)
 
 
-def chain_params(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> ChainParams:
-    """ChainParams for a concrete network, detector and access policy."""
-    s1 = joint_access_probability(policy, sensing.p1())
-    base = _delta_bar(cfg)
-    p = chain_params_from_rates(base * (1.0 - s1) ** cfg.M_s, 1.0 - base, cfg.lambda_p)
-    margin = _margin(base, cfg.lambda_p, True, _log_w(s1, cfg.M_s))
-    return ChainParams(p.gamma_p, p.delta, p.chi, p.psi, margin)
+def chain_params(cfg: NetworkConfig, sensing: SensingConfig | None, policy: AccessPolicy,
+                 scheme: Scheme) -> ChainParams:
+    """A scheme's primary-queue chain: beta = delta_bar with feedback, else gamma_p.
+
+    The margin is `_margin`'s. The genie has s1 = 0, so `sensing` may be None for it.
+    """
+    s1 = 0.0 if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p1())
+    delta_bar = _delta_bar(cfg)
+    gamma_p = delta_bar * (1.0 - s1) ** cfg.M_s
+    feedback = scheme is Scheme.FEEDBACK
+    margin = _margin(delta_bar, cfg.lambda_p, feedback, _log_w(s1, cfg.M_s))
+    return _chain(gamma_p, delta_bar if feedback else gamma_p, cfg.lambda_p, margin)
 
 
 def primary_service_rate_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
@@ -148,23 +161,17 @@ def primary_service_rate_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy
 
     Identical to gamma_p of the chain (same code path, bit for bit).
     """
-    return chain_params(cfg, sensing, policy).gamma_p
+    return chain_params(cfg, sensing, policy, Scheme.NO_FEEDBACK).gamma_p
 
 
-def pi0_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """Empty-queue probability without feedback, (mu_p - lambda_p)/mu_p by Little's law."""
-    margin = stability(cfg, sensing, policy, Scheme.NO_FEEDBACK).margin
-    return margin / primary_service_rate_nofb(cfg, sensing, policy) if margin > 0.0 else Unstable(margin)
+def pi0(cfg: NetworkConfig, sensing: SensingConfig | None, policy: AccessPolicy, scheme: Scheme) -> RateValue:
+    """Empty-queue probability margin/beta of a scheme's primary queue, or Unstable.
 
-
-def pi0_feedback(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
-    """Empty-queue probability under the feedback scheme, (chi - lambda_p)/delta_bar.
-
-    It equals the expanded form 1 - lambda_p*(1 + M_p/(1-P_pd) - (1-s1)^M_s),
-    which the tests hold it against.
+    That is 1 - lambda_p/mu_p without feedback and (chi - lambda_p)/delta_bar,
+    or 1 - lambda_p*(1 + M_p/(1-P_pd) - (1-s1)^M_s), with it.
     """
-    margin = stability(cfg, sensing, policy, Scheme.FEEDBACK).margin
-    return margin / _delta_bar(cfg) if margin > 0.0 else Unstable(margin)
+    p = chain_params(cfg, sensing, policy, scheme)
+    return p.margin / p.beta if p.margin > 0.0 else Unstable(p.margin)
 
 
 def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -175,31 +182,33 @@ def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) 
     """
     if cfg.lambda_p == 0.0:
         return 0.0
-    margin = stability(cfg, sensing, policy, Scheme.NO_FEEDBACK).margin
-    if margin <= 0.0:  # no-feedback side unstable, difference undefined
-        return Unstable(margin)
-    gamma_p = primary_service_rate_nofb(cfg, sensing, policy)
+    p = chain_params(cfg, sensing, policy, Scheme.NO_FEEDBACK)
+    if p.margin <= 0.0:  # no-feedback side unstable, difference undefined
+        return Unstable(p.margin)
+    delta_bar = _delta_bar(cfg)
     bracket = -math.expm1(_log_w(joint_access_probability(policy, sensing.p1()), cfg.M_s))
-    return cfg.lambda_p * (1.0 - gamma_p) / gamma_p * bracket
+    # 1 - gamma_p as (1 - delta_bar) + delta_bar*(1 - w): no cancellation when gamma_p is near 1
+    return cfg.lambda_p * ((1.0 - delta_bar) + delta_bar * bracket) / p.gamma_p * bracket
 
 
-def _throughput(pi0: RateValue, cfg: NetworkConfig, sensing: SensingConfig,
-                policy: AccessPolicy) -> RateValue:
+def _throughput(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy,
+                scheme: Scheme) -> RateValue:
     # one tagged secondary transmits, the other M_s-1 stay silent
-    if isinstance(pi0, Unstable):
-        return pi0
+    empty = pi0(cfg, sensing, policy, scheme)
+    if isinstance(empty, Unstable):
+        return empty
     s0 = joint_access_probability(policy, sensing.p0())
-    return pi0 * (1.0 - secondary_outage(cfg)) * (s0 * (1.0 - s0) ** (cfg.M_s - 1))
+    return empty * (1.0 - secondary_outage(cfg)) * (s0 * (1.0 - s0) ** (cfg.M_s - 1))
 
 
 def secondary_throughput_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
     """Per-secondary throughput without feedback.
 
-    pi0_nofb * (1-P_sd) * s0 * (1-s0)^(M_s-1), where s0 = sum_i p_i^0 a_i.
+    pi0 * (1-P_sd) * s0 * (1-s0)^(M_s-1), where s0 = sum_i p_i^0 a_i.
     Returns Unstable when lambda_p >= mu_p, since the Little's-law pi_0 is
     meaningless there.
     """
-    return _throughput(pi0_nofb(cfg, sensing, policy), cfg, sensing, policy)
+    return _throughput(cfg, sensing, policy, Scheme.NO_FEEDBACK)
 
 
 def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -207,7 +216,7 @@ def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: 
 
     Same product as the no-feedback formula with the feedback pi_0.
     """
-    return _throughput(pi0_feedback(cfg, sensing, policy), cfg, sensing, policy)
+    return _throughput(cfg, sensing, policy, Scheme.FEEDBACK)
 
 
 def _log_aloha_factor(s0: float, M_s: int) -> float:
@@ -225,6 +234,5 @@ def stability(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy, 
     feedback queue needs lambda_p < chi; the genie queue sees no secondary
     interference at all (s1 = 0), so its margin is (1-P_pd)/M_p - lambda_p.
     """
-    s1 = 0.0 if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p1())
-    margin = _margin(_delta_bar(cfg), cfg.lambda_p, scheme is Scheme.FEEDBACK, _log_w(s1, cfg.M_s))
+    margin = chain_params(cfg, sensing, policy, scheme).margin
     return StabilityReport(stable=margin > 0.0, margin=margin)

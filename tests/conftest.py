@@ -63,13 +63,15 @@ def load_ratio_lambda(psi: float, gamma_p: float = 0.2, delta: float = 0.75) -> 
 
 
 def sample_network(rng: np.random.Generator, n: int | None = None,
-                   lam_frac: float | None = None):
+                   lam_frac: float | None = None, M_p: int | None = None):
     """Random network + sensing pair with guaranteed stability headroom.
 
     lam_frac fixes lambda_p as that fraction of delta_bar; when None a
-    fraction is drawn uniformly from [0, 0.85].
+    fraction is drawn uniformly from [0, 0.85]. M_p, when given, replaces
+    the drawn primary count, and the rest of the draws stay the same.
     """
-    M_p = int(rng.integers(2, 6))
+    drawn_M_p = int(rng.integers(2, 6))
+    M_p = drawn_M_p if M_p is None else M_p
     M_s = int(rng.integers(1, 4))
     r_pd = float(rng.uniform(50.0, 180.0))
     r_sd = float(rng.uniform(50.0, 180.0))

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 from softaccess import (
+    Scheme,
     SolveError,
     Unstable,
     chain_params,
@@ -13,16 +14,17 @@ from softaccess import (
     closed_form_distribution,
     default_truncation,
     delay_fb,
-    delay_nofb,
+    evaluate,
     littles_law_delay,
     numeric_distribution,
+    pi0,
     solve_feedback,
     transition_matrix,
 )
 from softaccess import chain
 from softaccess.model import AccessPolicy
 
-from conftest import load_ratio_lambda, sample_stable_params
+from conftest import load_ratio_lambda, sample_network, sample_stable_params
 
 
 def stationary_vector(dist):
@@ -113,7 +115,7 @@ class TestClosedForm:
 class TestNumeric:
     def test_matches_closed_form_reference(self, ref_cfg, ref_sensing):
         pol = solve_feedback(ref_cfg, ref_sensing).policy
-        params = chain_params(ref_cfg, ref_sensing, pol)
+        params = chain_params(ref_cfg, ref_sensing, pol, Scheme.FEEDBACK)
         closed = closed_form_distribution(params, ref_cfg.lambda_p, K=200)
         numeric = numeric_distribution(params, ref_cfg.lambda_p, K=200)
         assert np.max(np.abs(closed.pi - numeric.pi)) <= 1e-9
@@ -234,24 +236,26 @@ class TestTruncation:
 
 
 class TestDelay:
+    # without feedback the chain is a Bernoulli server: beta = gamma_p = mu
     def test_nofb_reference(self):
-        assert delay_nofb(0.1219, margin=0.2438 - 0.1219) == pytest.approx(
-            7.203445447087777, rel=1e-12)
+        params = chain_params_from_rates(0.2438, 1.0 - 0.2438, 0.1219)
+        assert delay_fb(params, 0.1219) == pytest.approx(7.203445447087777, rel=1e-12)
 
     def test_nofb_light_traffic_limit(self):
-        assert delay_nofb(0.0, margin=0.25) == pytest.approx(4.0, rel=1e-15)
+        params = chain_params_from_rates(0.25, 1.0 - 0.25, 0.0)
+        assert delay_fb(params, 0.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_nofb_at_least_service_time(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             mu = rng.uniform(0.05, 1.0)
             lam = rng.uniform(0.0, mu * 0.99)
-            d = delay_nofb(lam, margin=mu - lam)
+            d = delay_fb(chain_params_from_rates(mu, 1.0 - mu, lam), lam)
             assert d >= (1.0 - lam) / mu - 1e-12
             assert d >= 1.0 - lam
 
     def test_nofb_unstable(self):
-        got = delay_nofb(0.3, margin=0.25 - 0.3)
+        got = delay_fb(chain_params_from_rates(0.25, 1.0 - 0.25, 0.3), 0.3)
         assert isinstance(got, Unstable)
 
     def test_fb_littles_law(self):
@@ -266,10 +270,10 @@ class TestDelay:
     def test_fb_equals_nofb_when_silent(self, ref_cfg, ref_sensing):
         # with silent secondaries feedback changes nothing
         silent = AccessPolicy((0.0, 0.0, 0.0, 0.0))
-        params = chain_params(ref_cfg, ref_sensing, silent)
+        params = chain_params(ref_cfg, ref_sensing, silent, Scheme.FEEDBACK)
         mu = params.gamma_p
         d_fb = delay_fb(params, ref_cfg.lambda_p)
-        d_no = delay_nofb(ref_cfg.lambda_p, margin=mu - ref_cfg.lambda_p)
+        d_no = delay_fb(chain_params_from_rates(mu, 1.0 - mu, ref_cfg.lambda_p), ref_cfg.lambda_p)
         assert d_fb == pytest.approx(d_no, rel=1e-12)
 
     def test_fb_saturated_service_corner(self):
@@ -284,3 +288,32 @@ class TestDelay:
         dist = closed_form_distribution(params, 0.1)
         with pytest.raises(ValueError):
             littles_law_delay(dist, 0.0)
+
+
+class TestEverySchemeChain:
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_oracles_at_the_optimum(self, scheme):
+        # the chain of chain_params at each scheme's evaluate optimum, on
+        # sample_network draws and on the same draws with many primaries,
+        # where delta_bar is small
+        rng = np.random.default_rng(37)
+        for M_p in (None, 50, 5000):
+            for _ in range(10):
+                cfg, sensing = sample_network(rng, M_p=M_p)
+                lam = cfg.lambda_p
+                point = evaluate(cfg, sensing, scheme)
+                assert point.result.feasible
+                policy = point.result.policy
+                params = chain_params(cfg, point.sensing, policy, scheme)
+                closed = closed_form_distribution(params, lam)
+                assert closed.pi[0] == pi0(cfg, point.sensing, policy, scheme) == point.pi0
+                numeric = numeric_distribution(params, lam)
+                assert np.max(np.abs(closed.pi - numeric.pi)) <= 1e-9
+                assert np.max(np.abs(closed.eps - numeric.eps)) <= 1e-9
+                delay = delay_fb(params, lam)
+                assert delay == point.delay
+                assert abs(littles_law_delay(closed, lam) - delay) <= 1e-6 * delay
+                if scheme is not Scheme.FEEDBACK:  # a Bernoulli server of rate mu_p
+                    mu_p = params.gamma_p
+                    assert point.pi0 == pytest.approx(1.0 - lam / mu_p, rel=1e-12)
+                    assert delay == pytest.approx((1.0 - lam) / (mu_p - lam), rel=1e-12)

@@ -130,7 +130,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("text,field", [
         ("network.r_pd = -10\n", "network"),
         ("sweep.step = 0\n", "sweep.step"),
-        # just over MAX_SWEEP_POINTS, and a step whose point count is inf
+        # just over MAX_COUNT, and a step whose point count is inf
         ("sweep.step = 2.4e-7\n", "sweep.step"),
         ("sweep.step = 5e-324\n", "sweep.step"),
         ("sweep.start = 0.2\nsweep.stop = 0.1\n", "sweep.stop"),
@@ -414,6 +414,11 @@ EXIT_TWO = {
                "sweep: CapacityError: a primary queue held more than 8 packets\n"),
     "cap-nofb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "nofb"], {(simulate, "CAP"): 8},
                  "sweep: CapacityError: a primary queue held more than 8 packets\n"),
+    # counts past cli.MAX_COUNT are refused before anything that size is built
+    "huge-M_p": ("validate", "network.M_p = 1000001\n", [], {}, "network.M_p: must be at most"),
+    "huge-n": ("validate", "sensing.n = 1000001\n", [], {}, "sensing.n: must be at most"),
+    "huge-replications": ("sweep", POINT + "sim.replications = 1000001\n", [], {},
+                          "sim.replications: must be at most"),
     # a bound below one slot of the reference network refuses it before any draw
     "chunk-memory": ("sweep", POINT + "sim.slots = 2000\nsim.warmup = 100\n", ["--sim"],
                      {(simulate, "CHUNK_BYTES"): 64},

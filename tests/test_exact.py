@@ -4,8 +4,9 @@ Every quantity is evaluated in rationals (fractions.Fraction) at the
 package's own float inputs: delta_bar, s1, s0, lambda_p, M_s and 1-P_sd.
 What is left between the two is the float program's own rounding, which
 the package must hold to PRECISION relative, at the optima of the four
-schemes on networks at the stability edge (lambda_p/delta_bar = 1 - eps)
-and on typical ones.
+schemes on networks at the stability edge (lambda_p/delta_bar = 1 - eps),
+on typical ones and on single-primary ones at the edge, where gamma_p is
+near 1.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from softaccess import (
     delta_pi0,
     evaluate,
     joint_access_probability,
-    pi0_feedback,
-    pi0_nofb,
+    pi0,
     primary_outage,
     secondary_outage,
     solve_feedback,
@@ -80,6 +80,14 @@ def typical_networks(seed: int):
         yield sample_network(rng)
 
 
+def single_primary_networks(seed: int):
+    # M_p = 1 puts gamma_p near 1, where 1 - gamma_p cancels
+    rng = np.random.default_rng(seed)
+    for _ in range(NETWORKS):
+        eps = float(10.0 ** rng.uniform(-9.0, -3.0))
+        yield sample_network(rng, lam_frac=1.0 - eps, M_p=1)
+
+
 def errors_at_optima(cfg, sensing) -> dict:
     """Largest relative error of each package quantity at the four schemes' optima."""
     lam, M_s = cfg.lambda_p, cfg.M_s
@@ -108,10 +116,11 @@ def errors_at_optima(cfg, sensing) -> dict:
                    exact[f"margin_{queue}"])
         record("mu_s", point.result.objective, exact_mu_s(exact[f"pi0_{queue}"], clear_sd, s0, M_s))
         if scheme is Scheme.FEEDBACK:
-            record("pi0_fb", pi0_feedback(cfg, sensing, policy), exact["pi0_fb"])
-            record("delay_fb", delay_fb(chain_params(cfg, sensing, policy), lam), exact["delay_fb"])
+            record("pi0_fb", pi0(cfg, sensing, policy, Scheme.FEEDBACK), exact["pi0_fb"])
+            record("delay_fb", delay_fb(chain_params(cfg, sensing, policy, Scheme.FEEDBACK), lam),
+                   exact["delay_fb"])
         elif scheme is Scheme.NO_FEEDBACK:
-            record("pi0_nofb", pi0_nofb(cfg, sensing, policy), exact["pi0_nofb"])
+            record("pi0_nofb", pi0(cfg, sensing, policy, Scheme.NO_FEEDBACK), exact["pi0_nofb"])
         if scheme in (Scheme.FEEDBACK, Scheme.NO_FEEDBACK):
             # past the no-feedback edge the gain is undefined, and must say so
             gap = delta_pi0(cfg, sensing, policy)
@@ -122,8 +131,9 @@ def errors_at_optima(cfg, sensing) -> dict:
     return errors
 
 
-@pytest.mark.parametrize("networks", [edge_networks(101), typical_networks(103)],
-                         ids=["edge", "typical"])
+@pytest.mark.parametrize("networks", [edge_networks(101), typical_networks(103),
+                                      single_primary_networks(107)],
+                         ids=["edge", "typical", "single-primary"])
 def test_closed_forms_match_exact_arithmetic(networks):
     worst = {}
     for cfg, sensing in networks:

@@ -17,13 +17,11 @@ from softaccess import (
     chain_params,
     default_sensing,
     delay_fb,
-    delay_nofb,
     evaluate,
     grid_search,
     hard_decision_sensing,
     kkt_residual_nofb,
-    pi0_feedback,
-    pi0_nofb,
+    pi0,
     primary_outage,
     primary_service_rate_nofb,
     secondary_outage,
@@ -479,17 +477,18 @@ class TestEvaluate:
             feasible += 1
             lam = cfg.lambda_p
             if scheme is Scheme.FEEDBACK:
-                params = chain_params(cfg, sensing, res.policy)
-                expected = (params.gamma_p, pi0_feedback(cfg, sensing, res.policy),
+                params = chain_params(cfg, sensing, res.policy, Scheme.FEEDBACK)
+                expected = (params.gamma_p, pi0(cfg, sensing, res.policy, Scheme.FEEDBACK),
                             delay_fb(params, lam))
             elif scheme is Scheme.GENIE:
                 mu_p = delta_bar(cfg)
-                expected = (mu_p, (mu_p - lam) / mu_p, delay_nofb(lam, margin=mu_p - lam))
+                expected = (mu_p, (mu_p - lam) / mu_p,
+                            delay_fb(chain_params(cfg, None, res.policy, scheme), lam))
             else:
                 sens = sensing if scheme is Scheme.NO_FEEDBACK else hard_decision_sensing(sensing)
                 mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
-                margin = stability(cfg, sens, res.policy, scheme).margin
-                expected = (mu_p, pi0_nofb(cfg, sens, res.policy), delay_nofb(lam, margin=margin))
+                expected = (mu_p, pi0(cfg, sens, res.policy, Scheme.NO_FEEDBACK),
+                            delay_fb(chain_params(cfg, sens, res.policy, scheme), lam))
             assert (point.mu_p, point.pi0, point.delay) == expected
         assert not evaluate(NetworkConfig(lambda_p=0.25), ref_sensing, scheme).result.feasible
         assert feasible == len(cases) - 1

@@ -19,8 +19,7 @@ from softaccess import (
     delay_fb,
     delta_pi0,
     joint_access_probability,
-    pi0_feedback,
-    pi0_nofb,
+    pi0,
     primary_outage,
     primary_service_rate_nofb,
     secondary_outage,
@@ -59,7 +58,7 @@ class TestPrimaryServiceRate:
         for _ in range(20):
             pol = random_policy(rng)
             mu = primary_service_rate_nofb(ref_cfg, ref_sensing, pol)
-            assert mu == chain_params(ref_cfg, ref_sensing, pol).gamma_p
+            assert mu == chain_params(ref_cfg, ref_sensing, pol, Scheme.FEEDBACK).gamma_p
 
     def test_blind_aggressive_access_starves_primary(self, ref_cfg):
         # threshold far above both statistics: the busy state is never
@@ -102,8 +101,8 @@ class TestSecondaryThroughput:
         assert not got
         assert got.margin <= 0.0
         # the same overload is past chi under feedback too, and every fb quantity says so
-        params = chain_params(cfg, ref_sensing, pol)
-        for got in (pi0_feedback(cfg, ref_sensing, pol), delay_fb(params, cfg.lambda_p),
+        params = chain_params(cfg, ref_sensing, pol, Scheme.FEEDBACK)
+        for got in (pi0(cfg, ref_sensing, pol, Scheme.FEEDBACK), delay_fb(params, cfg.lambda_p),
                     secondary_throughput_fb(cfg, ref_sensing, pol)):
             assert isinstance(got, Unstable)
             assert got.margin == params.margin < 0.0
@@ -124,21 +123,21 @@ class TestPi0:
     def test_no_arrivals_means_idle(self, ref_sensing):
         cfg = NetworkConfig(lambda_p=0.0)
         pol = AccessPolicy((0.5, 0.5, 0.5, 0.5))
-        assert pi0_feedback(cfg, ref_sensing, pol) == pytest.approx(1.0)
-        assert pi0_nofb(cfg, ref_sensing, pol) == pytest.approx(1.0)
+        assert pi0(cfg, ref_sensing, pol, Scheme.FEEDBACK) == pytest.approx(1.0)
+        assert pi0(cfg, ref_sensing, pol, Scheme.NO_FEEDBACK) == pytest.approx(1.0)
 
     def test_silent_reference(self, ref_cfg, ref_sensing):
-        got = pi0_feedback(ref_cfg, ref_sensing, SILENT)
+        got = pi0(ref_cfg, ref_sensing, SILENT, Scheme.FEEDBACK)
         assert got == pytest.approx(PI0_FB_SILENT, rel=1e-12)
         # with silent secondaries both schemes see the same queue
-        assert got == pytest.approx(pi0_nofb(ref_cfg, ref_sensing, SILENT), rel=1e-12)
+        assert got == pytest.approx(pi0(ref_cfg, ref_sensing, SILENT, Scheme.NO_FEEDBACK), rel=1e-12)
 
     def test_compact_equals_expanded(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
             cfg, sensing = sample_network(rng)
             pol = AccessPolicy(tuple(rng.uniform(0.0, 1.0, size=sensing.n)))
-            compact = pi0_feedback(cfg, sensing, pol)
+            compact = pi0(cfg, sensing, pol, Scheme.FEEDBACK)
             # lambda_p <= 0.85 delta_bar, where feedback keeps every policy stable
             assert not isinstance(compact, Unstable)
             assert compact == pytest.approx(pi0_feedback_expanded(cfg, sensing, pol), rel=1e-12)
@@ -149,10 +148,10 @@ class TestPi0:
         while checked < 40:
             cfg, sensing = sample_network(rng)
             pol = AccessPolicy(tuple(rng.uniform(0.0, 1.0, size=sensing.n)))
-            direct = pi0_feedback(cfg, sensing, pol)
+            direct = pi0(cfg, sensing, pol, Scheme.FEEDBACK)
             if isinstance(direct, Unstable) or cfg.lambda_p == 0.0:
                 continue
-            params = chain_params(cfg, sensing, pol)
+            params = chain_params(cfg, sensing, pol, Scheme.FEEDBACK)
             if params.psi > 0.95:
                 continue
             dist = closed_form_distribution(params, cfg.lambda_p)
@@ -176,8 +175,8 @@ class TestDeltaPi0:
             gap = delta_pi0(cfg, sensing, pol)
             if isinstance(gap, Unstable):
                 continue
-            fb = pi0_feedback(cfg, sensing, pol)
-            nofb = pi0_nofb(cfg, sensing, pol)
+            fb = pi0(cfg, sensing, pol, Scheme.FEEDBACK)
+            nofb = pi0(cfg, sensing, pol, Scheme.NO_FEEDBACK)
             assert not isinstance(nofb, Unstable)
             assert gap == pytest.approx(fb - nofb, rel=1e-11, abs=1e-14)
             assert gap >= -1e-12
@@ -243,7 +242,7 @@ class TestChainParams:
 
     def test_chi_composition(self, ref_cfg, ref_sensing):
         pol = AccessPolicy((0.4, 0.3, 0.2, 0.1))
-        params = chain_params(ref_cfg, ref_sensing, pol)
+        params = chain_params(ref_cfg, ref_sensing, pol, Scheme.FEEDBACK)
         lam = ref_cfg.lambda_p
         chi = lam * params.gamma_p + (1.0 - lam) * (1.0 - params.delta)
         assert params.chi == pytest.approx(chi, rel=1e-15)

@@ -17,8 +17,7 @@ from softaccess import (
     SimReport,
     default_sensing,
     estimate_pi0,
-    pi0_feedback,
-    pi0_nofb,
+    pi0,
     primary_outage,
     run,
     run_traced,
@@ -177,8 +176,8 @@ class TestSchemeContrast:
         noise = 3.0 * (rf.se_pi0 ** 2 + rn.se_pi0 ** 2) ** 0.5
         assert rf.pi0_hat - rn.pi0_hat > noise
         pol = AccessPolicy(a)
-        assert abs(rf.pi0_hat - pi0_feedback(ref_cfg, ref_sensing, pol)) <= 3.0 * rf.se_pi0
-        assert abs(rn.pi0_hat - pi0_nofb(ref_cfg, ref_sensing, pol)) <= 3.0 * rn.se_pi0
+        assert abs(rf.pi0_hat - pi0(ref_cfg, ref_sensing, pol, Scheme.FEEDBACK)) <= 3.0 * rf.se_pi0
+        assert abs(rn.pi0_hat - pi0(ref_cfg, ref_sensing, pol, Scheme.NO_FEEDBACK)) <= 3.0 * rn.se_pi0
 
     def test_no_arrivals_channel_always_free(self, ref_sensing):
         cfg = NetworkConfig(lambda_p=0.0)
