@@ -63,6 +63,9 @@ class Experiment:
             raise ValueError("sweep grid must be nonempty")
         if not self.schemes:
             raise ValueError("schemes must be nonempty")
+        out = self.output_path and Path(self.output_path)
+        if out and out.with_suffix(".gp") == out:  # the gnuplot script's path; raises on an empty name
+            raise ValueError(f"{out}: the gnuplot script would overwrite the CSV; use another suffix")
 
 
 def _parse_lines(path):
@@ -314,7 +317,7 @@ def main(argv=None) -> int:
 
     try:
         result = validate_config(args.config)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
     if isinstance(result, list):
@@ -345,7 +348,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"seed: {exc}", file=sys.stderr)
             return 2
-    exp = replace(exp, sim=sim, output_path=args.out)
+    try:
+        exp = replace(exp, sim=sim, output_path=args.out)
+    except ValueError as exc:
+        print(f"output: {exc}", file=sys.stderr)
+        return 2
 
     try:
         rows = run_sweep(exp)

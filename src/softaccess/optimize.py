@@ -17,14 +17,15 @@ prefix0[k] + (b - prefix1[k]) p_k^0/p_k^1. The ALOHA stop, the search
 segments and the policy at the best budget are all read off those two
 arrays.
 
-One frontier search serves both schemes. A scheme supplies only its
-log pi_0 as a function of b and the largest b at which its queue stays
-stable. Inside each frontier segment s0 is linear in b; a bounded Brent
-search on every segment (step tolerance 1e-13 in b), plus that segment's
-right edge, finds the optimum. The no-feedback log pi_0 is concave in b;
-the feedback one is concave only while (M_s-1)*c0 <= c1*(1-b)^M_s, with
-c0 = delta_bar*(1-lambda) - lambda and c1 = lambda*delta_bar, so the
-tests hold both schemes against a dense frontier evaluation.
+One frontier search serves every sensing scheme; `rates` supplies the
+queue law, log pi_0 as a function of log w = M_s log(1-b) and the log w
+at which the queue loses stability. Inside each frontier segment s0 is
+linear in b; a bounded Brent search on every segment (step tolerance
+1e-13 in b), plus that segment's right edge, finds the optimum. The
+no-feedback log pi_0 is concave in b; the feedback one is concave only
+while (M_s-1)*c0 <= c1*(1-b)^M_s, with c0 = delta_bar*(1-lambda) - lambda
+and c1 = lambda*delta_bar, so the tests hold both schemes against a
+dense frontier evaluation.
 
 `evaluate` is the one place that maps a scheme to its solver and detector,
 and reads its primary queue from `rates.chain_params`; the CLI and the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -47,10 +48,10 @@ from .rates import (
     _log_aloha_factor,
     _log_w,
     _margin,
+    _queue_law,
+    _throughput,
     chain_params,
     secondary_outage,
-    secondary_throughput_fb,
-    secondary_throughput_nofb,
 )
 
 __all__ = [
@@ -81,36 +82,21 @@ def _infeasible(scheme: Scheme, n: int) -> OptResult:
 
 
 def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
-    """Best greedy-prefix policy of a soft scheme (FEEDBACK or NO_FEEDBACK).
+    """Best greedy-prefix policy of a sensing scheme (FEEDBACK, NO_FEEDBACK or HARD_DECISION).
 
-    With w = (1-b)^M_s, both queues read the margin of `rates._margin`,
-    (delta_bar - lambda) + k*(w - 1): the no-feedback queue (k = delta_bar)
-    has pi_0 = margin/(delta_bar*w), the feedback queue (k = lambda*delta_bar)
-    has pi_0 = margin/delta_bar, and either needs w > 1 - (delta_bar - lambda)/k.
-
+    It searches the queue law of `rates._queue_law`, in log w = M_s log(1-b).
     The search ends where s0 reaches 1/M_s or the queue loses stability;
     that stop and the policy at the best budget b, k full bins plus
-    (b - prefix1[k]) / p_k^1 of bin k, are both searchsorted on the prefix sums.
+    (b - prefix1[k]) / p_k^1 of bin k, are both searchsorted on the prefix
+    sums. The reported objective is the rates throughput at that policy.
     """
     n = sensing.n
-    lam = cfg.lambda_p
     M_s = cfg.M_s
-    delta_bar = _delta_bar(cfg)
-    if lam >= delta_bar:
+    log_pi0, edge = _queue_law(cfg, scheme)
+    if edge >= 0.0:  # unstable even with the secondaries silent
         return _infeasible(scheme, n)
     p0 = sensing.p0()
     p1 = sensing.p1()
-    feedback = scheme is Scheme.FEEDBACK
-    throughput = secondary_throughput_fb if feedback else secondary_throughput_nofb
-    log_delta_bar = math.log(delta_bar)
-
-    def log_pi0(b: float) -> float:
-        log_w = M_s * math.log1p(-b)
-        margin = _margin(delta_bar, lam, feedback, log_w)
-        if margin <= 0.0:
-            return -math.inf
-        return math.log(margin) - log_delta_bar - (0.0 if feedback else log_w)
-
     prefix0 = np.concatenate([[0.0], np.cumsum(p0)])
     prefix1 = np.concatenate([[0.0], np.cumsum(p1)])
     # budget never worth pushing past the aloha stationary point s0 = 1/M_s or stability
@@ -121,17 +107,12 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
         b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
     else:
         b_target = prefix1[n]
-    # the margin falls by k = (delta_bar - lam) - floor as w goes from 1 to 0, so it
-    # reaches zero at w = 1 - (delta_bar - lam)/k unless floor >= 0
-    floor = _margin(delta_bar, lam, feedback, -math.inf)
-    log_w_stab = math.log1p((lam - delta_bar) / (delta_bar - lam - floor)) if floor < 0.0 else -math.inf
-    b_stab = -math.expm1(log_w_stab / M_s)
-    hi = min(float(p1.sum()), b_target, b_stab * (1.0 - 1e-12))
+    hi = min(float(p1.sum()), b_target, -math.expm1(edge / M_s) * (1.0 - 1e-12))  # b at the edge
 
     def log_objective(b: float, seg: int) -> float:
         # s0 along the frontier is linear inside segment `seg`
         s0 = prefix0[seg] + (b - prefix1[seg]) * (p0[seg] / p1[seg])
-        return log_pi0(b) + _log_aloha_factor(s0, M_s)
+        return log_pi0(M_s * math.log1p(-b)) + _log_aloha_factor(s0, M_s)
 
     best_b = 0.0
     best_val = -math.inf
@@ -157,7 +138,7 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
     if k < n:
         a[k] = (best_b - prefix1[k]) / p1[k]
     policy = AccessPolicy(tuple(a), scheme)
-    objective = throughput(cfg, sensing, policy)
+    objective = _throughput(cfg, sensing, policy, scheme)
     if isinstance(objective, Unstable):  # can only happen at degenerate zero headroom
         return _infeasible(scheme, n)
     return OptResult(policy=policy, objective=objective, feasible=True, iterations=evals)
@@ -212,7 +193,7 @@ def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: Access
     s0 = float(p0 @ a)
     s1 = float(p1 @ a)
     mu_p = delta_bar * (1.0 - s1) ** M_s
-    pi0 = _margin(delta_bar, lam, False, _log_w(s1, M_s)) / mu_p
+    pi0 = _margin(delta_bar, lam, delta_bar, _log_w(s1, M_s)) / mu_p  # slope delta_bar, no feedback
     h = s0 * (1.0 - s0) ** (M_s - 1)
     dh = (1.0 - s0) ** (M_s - 2) * (1.0 - M_s * s0) if M_s > 1 else 1.0
     dpi0 = -lam * M_s / (delta_bar * (1.0 - s1) ** (M_s + 1))
@@ -235,27 +216,22 @@ def hard_decision_sensing(sensing: SensingConfig) -> SensingConfig:
 
 
 def baseline_hard_decision(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
-    """Binary sense-and-access baseline: the n=1 restriction of the soft problem."""
-    res = solve_nofb(cfg, hard_decision_sensing(sensing))
-    policy = AccessPolicy(res.policy.a, Scheme.HARD_DECISION)
-    return replace(res, policy=policy)
+    """Binary sense-and-access baseline: the n=1 restriction of the no-feedback problem."""
+    return _frontier_optimum(cfg, hard_decision_sensing(sensing), Scheme.HARD_DECISION)
 
 
 def baseline_genie(cfg: NetworkConfig) -> OptResult:
-    """Perfect-knowledge upper bound.
+    """Perfect-knowledge upper bound: the rates throughput at s1 = 0 and a = 1/M_s.
 
-    Secondaries know the true primary state, so they never collide with
-    it (mu_p is the interference-free (1-P_pd)/M_p) and contend only among
-    themselves with the symmetric ALOHA optimum a = 1/M_s.
+    Secondaries know the true primary state, so they never collide with it
+    (mu_p is the interference-free (1-P_pd)/M_p) and contend only among
+    themselves with the symmetric ALOHA optimum.
     """
-    delta_bar = _delta_bar(cfg)
-    if cfg.lambda_p >= delta_bar:
+    policy = AccessPolicy((1.0 / cfg.M_s,), Scheme.GENIE)
+    objective = _throughput(cfg, None, policy, Scheme.GENIE)
+    if isinstance(objective, Unstable):
         return _infeasible(Scheme.GENIE, 1)
-    a_star = 1.0 / cfg.M_s
-    pi0 = (delta_bar - cfg.lambda_p) / delta_bar
-    mu = pi0 * (1.0 - secondary_outage(cfg)) * a_star * (1.0 - a_star) ** (cfg.M_s - 1)
-    policy = AccessPolicy((a_star,), Scheme.GENIE)
-    return OptResult(policy=policy, objective=mu, feasible=True, iterations=1)
+    return OptResult(policy=policy, objective=objective, feasible=True, iterations=1)
 
 
 @dataclass(frozen=True)

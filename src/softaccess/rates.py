@@ -7,8 +7,8 @@ the slot over a clear link, and gamma_p = delta_bar*(1-s1)^M_s is the
 per-slot success probability of a first transmission, which also
 multiplies in the chance that no secondary interferes.
 Every scheme's primary queue is the one chain of `chain_params`, whose
-retransmissions succeed with beta: delta_bar with feedback, gamma_p
-(a Bernoulli server) without. Every pi_0, delay and stability check reads it.
+retransmissions succeed with beta: delta_bar with feedback, gamma_p (a
+Bernoulli server) without. Every pi_0, delay, stability check and optimizer reads it.
 
 The secondary-link complement (1 - P_sd) uses the same outage law as the
 primary link; a superscript-zero variant of that symbol that appears in
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .model import (
     AccessPolicy,
@@ -39,7 +39,6 @@ __all__ = [
     "secondary_outage",
     "chain_params",
     "chain_params_from_rates",
-    "primary_service_rate_nofb",
     "pi0",
     "delta_pi0",
     "secondary_throughput_nofb",
@@ -108,14 +107,40 @@ def _delta_bar(cfg: NetworkConfig) -> float:
     return (1.0 - primary_outage(cfg)) / cfg.M_p
 
 
-def _margin(delta_bar: float, lam: float, feedback: bool, log_w: float) -> float:
+def _slope(delta_bar: float, lam: float, scheme: Scheme) -> float:
+    # k of the margin: what it loses as w goes from 1 to 0
+    return lam * delta_bar if scheme is Scheme.FEEDBACK else delta_bar
+
+
+def _margin(delta_bar: float, lam: float, k: float, log_w: float) -> float:
     """Stability margin of the primary queue: mu_p - lambda, or chi - lambda with feedback.
 
     With w = (1-s1)^M_s = exp(log_w), both are (delta_bar - lambda) + k*(w - 1),
-    k = delta_bar or lambda*delta_bar, a form without cancellation: delta_bar -
-    lambda is exact near the edge (Sterbenz), and expm1 keeps a small s1 accurate.
+    k = `_slope`, a form without cancellation: delta_bar - lambda is exact near
+    the edge (Sterbenz), and expm1 keeps a small s1 accurate.
     """
-    return (delta_bar - lam) + (lam * delta_bar if feedback else delta_bar) * math.expm1(log_w)
+    return (delta_bar - lam) + k * math.expm1(log_w)
+
+
+def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> tuple[Callable[[float], float], float]:
+    """A scheme's log pi_0 as a function of log w, and the log w at which its margin reaches zero.
+
+    log pi_0 = log(margin/beta), beta = delta_bar with feedback and delta_bar*w without, is
+    -inf where the queue is unstable: below the edge, so everywhere when the edge is >= 0.
+    """
+    delta_bar = _delta_bar(cfg)
+    lam = cfg.lambda_p
+    k = _slope(delta_bar, lam, scheme)
+    edge = math.log1p((lam - delta_bar) / k) if k > delta_bar - lam else -math.inf
+    log_delta_bar = math.log(delta_bar)
+    beta_has_w = scheme is not Scheme.FEEDBACK
+
+    def log_pi0(log_w: float) -> float:
+        margin = _margin(delta_bar, lam, k, log_w)
+        if margin <= 0.0:
+            return -math.inf
+        return math.log(margin) - log_delta_bar - (log_w if beta_has_w else 0.0)
+    return log_pi0, edge
 
 
 def _log_w(s1: float, M_s: int) -> float:
@@ -149,19 +174,10 @@ def chain_params(cfg: NetworkConfig, sensing: SensingConfig | None, policy: Acce
     The margin is `_margin`'s. The genie has s1 = 0, so `sensing` may be None for it.
     """
     s1 = 0.0 if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p1())
-    delta_bar = _delta_bar(cfg)
+    delta_bar, lam = _delta_bar(cfg), cfg.lambda_p
     gamma_p = delta_bar * (1.0 - s1) ** cfg.M_s
-    feedback = scheme is Scheme.FEEDBACK
-    margin = _margin(delta_bar, cfg.lambda_p, feedback, _log_w(s1, cfg.M_s))
-    return _chain(gamma_p, delta_bar if feedback else gamma_p, cfg.lambda_p, margin)
-
-
-def primary_service_rate_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
-    """Per-slot primary service rate mu_p = (1-P_pd)/M_p * (1-s1)^M_s.
-
-    Identical to gamma_p of the chain (same code path, bit for bit).
-    """
-    return chain_params(cfg, sensing, policy, Scheme.NO_FEEDBACK).gamma_p
+    margin = _margin(delta_bar, lam, _slope(delta_bar, lam, scheme), _log_w(s1, cfg.M_s))
+    return _chain(gamma_p, delta_bar if scheme is Scheme.FEEDBACK else gamma_p, lam, margin)
 
 
 def pi0(cfg: NetworkConfig, sensing: SensingConfig | None, policy: AccessPolicy, scheme: Scheme) -> RateValue:
@@ -191,13 +207,13 @@ def delta_pi0(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) 
     return cfg.lambda_p * ((1.0 - delta_bar) + delta_bar * bracket) / p.gamma_p * bracket
 
 
-def _throughput(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy,
+def _throughput(cfg: NetworkConfig, sensing: SensingConfig | None, policy: AccessPolicy,
                 scheme: Scheme) -> RateValue:
-    # one tagged secondary transmits, the other M_s-1 stay silent
+    # one tagged secondary transmits, the other M_s-1 stay silent; the genie's s0 is a_1
     empty = pi0(cfg, sensing, policy, scheme)
     if isinstance(empty, Unstable):
         return empty
-    s0 = joint_access_probability(policy, sensing.p0())
+    s0 = policy.a[0] if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p0())
     return empty * (1.0 - secondary_outage(cfg)) * (s0 * (1.0 - s0) ** (cfg.M_s - 1))
 
 

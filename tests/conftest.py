@@ -9,10 +9,11 @@ import pytest
 
 from softaccess import (
     NetworkConfig,
+    Scheme,
     SensingConfig,
+    chain_params,
     chain_params_from_rates,
     default_sensing,
-    primary_service_rate_nofb,
 )
 from softaccess.model import AccessPolicy
 
@@ -82,8 +83,8 @@ def sample_network(rng: np.random.Generator, n: int | None = None,
     n_bins = n if n is not None else int(rng.integers(1, 5))
     sensing = default_sensing(cfg0, n=n_bins,
                               idle_tail=float(rng.uniform(0.05, 0.3)))
-    delta_bar = primary_service_rate_nofb(
-        cfg0, sensing, AccessPolicy((0.0,) * n_bins))
+    delta_bar = chain_params(
+        cfg0, sensing, AccessPolicy((0.0,) * n_bins), Scheme.NO_FEEDBACK).gamma_p
     frac = lam_frac if lam_frac is not None else float(rng.uniform(0.0, 0.85))
     cfg = dataclasses.replace(cfg0, lambda_p=frac * delta_bar)
     return cfg, sensing

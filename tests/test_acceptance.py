@@ -18,6 +18,7 @@ from softaccess import (
     NetworkConfig,
     Scheme,
     SimConfig,
+    chain_params,
     chain_params_from_rates,
     closed_form_distribution,
     default_sensing,
@@ -29,7 +30,6 @@ from softaccess import (
     littles_law_delay,
     main,
     numeric_distribution,
-    primary_service_rate_nofb,
     run,
     solve_feedback,
     solve_nofb,
@@ -139,7 +139,7 @@ class TestCriterion5FeedbackOccupancyGain:
             sensing = default_sensing(cfg0, n=2,
                                       idle_tail=float(rng.uniform(0.05, 0.3)))
             policy = AccessPolicy(tuple(rng.uniform(0.05, 1.0, size=2)))
-            gamma_p = primary_service_rate_nofb(cfg0, sensing, policy)
+            gamma_p = chain_params(cfg0, sensing, policy, Scheme.NO_FEEDBACK).gamma_p
             lam = float(rng.uniform(0.05, 0.95)) * gamma_p
             cfg = dataclasses.replace(cfg0, lambda_p=lam)
             gap = delta_pi0(cfg, sensing, policy)

@@ -30,7 +30,7 @@ from softaccess.cli import parse_schemes
 
 def write_config(tmp_path, text, name="exp.conf"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
     return str(path)
 
 
@@ -397,6 +397,7 @@ EXIT_TWO = {
     "config-validate": ("validate", "network.M_p = 0\n", [], {}, "network: "),
     "config-sweep": ("sweep", "network.M_p = 0\n", [], {}, "network: "),
     "missing-config": ("validate", None, [], {}, "config: "),
+    "not-utf8": ("validate", b"\xff\xfe\x00bad", [], {}, "config: 'utf-8' codec can't decode"),
     # the CSV path comes only from --out
     "unknown-key": ("validate", "output = sweep.csv\n", [], {}, "output: unknown key (line 1)\n"),
     "bad-scheme": ("sweep", POINT, ["--schemes", "fb,alien"], {},
@@ -405,6 +406,8 @@ EXIT_TWO = {
     "repeated-scheme": ("sweep", POINT, ["--schemes", "fb,nofb,fb"], {},
                         "schemes: scheme 'fb' is listed twice\n"),
     "unwritable-out": ("sweep", POINT, ["--out", "{tmp}/missing/x.csv"], {}, "output: "),
+    # the gnuplot script goes to the CSV's path with a .gp suffix
+    "gp-out": ("sweep", POINT, ["--out", "{tmp}/x.gp"], {}, "output: "),
     "negative-seed": ("sweep", POINT, ["--sim", "--seed", "-1"], {}, "seed: "),
     "solve-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(SOLVE)},
                     f"sweep: SolveError: {SOLVE}\n"),
@@ -471,6 +474,7 @@ class TestExitCodes:
         assert err.startswith(start), err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))  # no CSV is written
+        assert not list(tmp_path.rglob("*.gp"))
 
     def test_exit_two_through_module_entry_point(self, tmp_path):
         command, text, extra, _, start = EXIT_TWO["negative-seed"]

@@ -23,7 +23,6 @@ from softaccess import (
     kkt_residual_nofb,
     pi0,
     primary_outage,
-    primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
@@ -181,6 +180,15 @@ class TestBaselines:
             expect = pi0 * clear * a * (1.0 - a) ** (M_s - 1)
             assert res.policy.a == (a,)
             assert res.objective == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("M_s", range(1, 11))
+    def test_genie_objective_is_rates_product(self, M_s):
+        # the product every sensing scheme reports, bit for bit
+        cfg = NetworkConfig(lambda_p=0.1, M_s=M_s)
+        res = baseline_genie(cfg)
+        a = 1.0 / M_s
+        empty = pi0(cfg, None, res.policy, Scheme.GENIE)
+        assert res.objective == empty * (1 - secondary_outage(cfg)) * (a * (1 - a) ** (M_s - 1))
 
     def test_genie_dominates_feedback(self, ref_sensing):
         for lam in (0.0, 0.05, 0.1, 0.2):
@@ -486,7 +494,7 @@ class TestEvaluate:
                             delay_fb(chain_params(cfg, None, res.policy, scheme), lam))
             else:
                 sens = sensing if scheme is Scheme.NO_FEEDBACK else hard_decision_sensing(sensing)
-                mu_p = primary_service_rate_nofb(cfg, sens, res.policy)
+                mu_p = chain_params(cfg, sens, res.policy, Scheme.NO_FEEDBACK).gamma_p
                 expected = (mu_p, pi0(cfg, sens, res.policy, Scheme.NO_FEEDBACK),
                             delay_fb(chain_params(cfg, sens, res.policy, scheme), lam))
             assert (point.mu_p, point.pi0, point.delay) == expected

@@ -21,7 +21,6 @@ from softaccess import (
     joint_access_probability,
     pi0,
     primary_outage,
-    primary_service_rate_nofb,
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
@@ -49,7 +48,7 @@ def random_policy(rng, n=4, scheme=Scheme.NO_FEEDBACK):
 
 class TestPrimaryServiceRate:
     def test_silent_secondaries(self, ref_cfg, ref_sensing):
-        mu = primary_service_rate_nofb(ref_cfg, ref_sensing, SILENT)
+        mu = chain_params(ref_cfg, ref_sensing, SILENT, Scheme.NO_FEEDBACK).gamma_p
         assert mu == pytest.approx(MU_P_SILENT, rel=1e-12)
         assert mu == pytest.approx(0.24380, abs=1e-5)
 
@@ -57,7 +56,7 @@ class TestPrimaryServiceRate:
         rng = np.random.default_rng(11)
         for _ in range(20):
             pol = random_policy(rng)
-            mu = primary_service_rate_nofb(ref_cfg, ref_sensing, pol)
+            mu = chain_params(ref_cfg, ref_sensing, pol, Scheme.NO_FEEDBACK).gamma_p
             assert mu == chain_params(ref_cfg, ref_sensing, pol, Scheme.FEEDBACK).gamma_p
 
     def test_blind_aggressive_access_starves_primary(self, ref_cfg):
@@ -65,7 +64,7 @@ class TestPrimaryServiceRate:
         # flagged, and an always-transmit policy then collides every slot
         sensing = SensingConfig(eta=1e-6, n=1,
                                 sigma0_sq=5e-12, sigma1_sq=4.4905e-10)
-        mu = primary_service_rate_nofb(ref_cfg, sensing, AccessPolicy((1.0,)))
+        mu = chain_params(ref_cfg, sensing, AccessPolicy((1.0,)), Scheme.NO_FEEDBACK).gamma_p
         assert mu < 1e-6
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
@@ -74,10 +73,10 @@ class TestPrimaryServiceRate:
     def test_monotone_nonincreasing_in_access(self, a, idx):
         cfg = NetworkConfig()
         sensing = default_sensing(cfg)
-        lo = primary_service_rate_nofb(cfg, sensing, AccessPolicy(tuple(a)))
+        lo = chain_params(cfg, sensing, AccessPolicy(tuple(a)), Scheme.NO_FEEDBACK).gamma_p
         raised = list(a)
         raised[idx] = 1.0
-        hi = primary_service_rate_nofb(cfg, sensing, AccessPolicy(tuple(raised)))
+        hi = chain_params(cfg, sensing, AccessPolicy(tuple(raised)), Scheme.NO_FEEDBACK).gamma_p
         assert hi <= lo + 1e-15
 
 
