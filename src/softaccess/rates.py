@@ -108,7 +108,8 @@ def _delta_bar(cfg: NetworkConfig) -> float:
 
 
 def _slope(delta_bar: float, lam: float, scheme: Scheme) -> float:
-    # k of the margin: what it loses as w goes from 1 to 0
+    # k of the margin, what it loses as w goes from 1 to 0; the same rule gives beta:
+    # delta_bar with feedback, gamma_p = delta_bar*w without (`_queue_law`, `chain_params`)
     return lam * delta_bar if scheme is Scheme.FEEDBACK else delta_bar
 
 
@@ -125,15 +126,14 @@ def _margin(delta_bar: float, lam: float, k: float, log_w: float) -> float:
 def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> tuple[Callable[[float], float], float]:
     """A scheme's log pi_0 as a function of log w, and the log w at which its margin reaches zero.
 
-    log pi_0 = log(margin/beta), beta = delta_bar with feedback and delta_bar*w without, is
-    -inf where the queue is unstable: below the edge, so everywhere when the edge is >= 0.
+    log pi_0 = log(margin/beta), beta as in `_slope`, is -inf below the edge: everywhere if it is >= 0.
     """
-    delta_bar = _delta_bar(cfg)
-    lam = cfg.lambda_p
+    delta_bar, lam = _delta_bar(cfg), cfg.lambda_p
+    if lam >= delta_bar:  # unstable even with the secondaries silent; delta_bar may be 0
+        return lambda log_w: -math.inf, 0.0
     k = _slope(delta_bar, lam, scheme)
     edge = math.log1p((lam - delta_bar) / k) if k > delta_bar - lam else -math.inf
-    log_delta_bar = math.log(delta_bar)
-    beta_has_w = scheme is not Scheme.FEEDBACK
+    log_delta_bar, beta_has_w = math.log(delta_bar), scheme is not Scheme.FEEDBACK
 
     def log_pi0(log_w: float) -> float:
         margin = _margin(delta_bar, lam, k, log_w)
@@ -169,7 +169,7 @@ def chain_params_from_rates(gamma_p: float, delta: float, lambda_p: float) -> Ch
 
 def chain_params(cfg: NetworkConfig, sensing: SensingConfig | None, policy: AccessPolicy,
                  scheme: Scheme) -> ChainParams:
-    """A scheme's primary-queue chain: beta = delta_bar with feedback, else gamma_p.
+    """A scheme's primary-queue chain, beta as in `_slope`.
 
     The margin is `_margin`'s. The genie has s1 = 0, so `sensing` may be None for it.
     """

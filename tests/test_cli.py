@@ -308,6 +308,15 @@ class TestMain:
         assert "no feasible" in capsys.readouterr().err
         assert out.exists()  # the CSV is still written for inspection
 
+    def test_sweep_exit_three_on_dead_primary_link(self, tmp_path, capsys):
+        # the primary outage rounds to 1: every scheme is infeasible, none raises
+        cfg = write_config(tmp_path, "network.r_pd = 1000.0\nsweep.values = 0.0, 0.1\n"
+                           "schemes = fb,nofb,hard,genie\n")
+        out = tmp_path / "dead.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "no feasible" in capsys.readouterr().err
+        assert len(read_rows(out)) == 8
+
     def test_sweep_scheme_filter(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.values = 0.1\n")
         out = tmp_path / "two.csv"

@@ -201,6 +201,17 @@ class TestBaselines:
         res = baseline_genie(NetworkConfig(lambda_p=0.25))
         assert not res.feasible
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_dead_primary_link_is_infeasible(self, lam):
+        # at r_pd = 1000 the primary outage rounds to 1, so delta_bar = 0
+        cfg = NetworkConfig(r_pd=1000.0, lambda_p=lam)
+        assert primary_outage(cfg) == 1.0
+        sensing = default_sensing(cfg)
+        for res in (solve_feedback(cfg, sensing), solve_nofb(cfg, sensing),
+                    baseline_hard_decision(cfg, sensing), baseline_genie(cfg)):
+            assert not res.feasible
+            assert res.objective == 0.0
+
 
 def dense_grid(cfg, sensing, scheme, step):
     """The one-shot grid oracle: every grid row at once, -inf at unstable rows."""
