@@ -23,8 +23,9 @@ the file is kept:
   oracle_check networks of seed 1 at the workload's grid step, grouped
   by bin count n. Per n: the seconds, minor page faults and system time
   (getrusage) of that n's searches, and a sha256 of every result.
-- optimizer (`optimize`): solve_feedback and solve_nofb per call at every
-  analytic_sweep lambda (the reference network otherwise) and bin count.
+- optimizer (`optimize`): solve_feedback, solve_nofb and
+  baseline_hard_decision per call at every analytic_sweep lambda (the
+  reference network otherwise) and bin count.
   Per point: the seconds, objective, feasibility and evaluation count;
   per bin count, the sum of the seconds.
 - simulator (`simulator`): `run` for each scheme, with the policy
@@ -138,7 +139,7 @@ def grid(sa, workloads):
 
 
 def optimizer(sa, workloads):
-    solvers = {"fb": sa.solve_feedback, "nofb": sa.solve_nofb}
+    solvers = {"fb": sa.solve_feedback, "nofb": sa.solve_nofb, "hard": sa.baseline_hard_decision}
     record = {"repeat": REPEAT}
     for n in workloads.FULL.bins:
         points = []

@@ -11,7 +11,8 @@ checkout's own perfbench/steady.py, parent first on even i and change
 first on odd i, so slow drift of the machine falls on both sides alike. For every end-to-end
 metric of BENCHMARK.json it records each side's median and quartiles and
 how many pairs the change won (ties count for neither), plus each run's
-correct/attempted/failed. The result goes under end_to_end[W] of the
+correct/attempted/failed and the wall time of its first timed repetition
+(`first_wall_s`, which pays for any import the package defers to first use). The result goes under end_to_end[W] of the
 --out file, keeping the rest of the file.
 """
 from __future__ import annotations
@@ -58,12 +59,13 @@ def main(argv=None) -> int:
     for i in range(PAIRS):
         seed = i + 1
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            result, _ = steady[side].run_once(command, args.workload, seed,
-                                              spec["run_seconds"], 0)
+            result, record = steady[side].run_once(command, args.workload, seed,
+                                                   spec["run_seconds"], 0)
             runs[side].append({
                 "seed": seed, "correct": result["correct"],
                 "attempted": result["attempted"], "failed": result["failed"],
-                **{name: m["value"] for name, m in result["metrics"].items()}})
+                **{name: m["value"] for name, m in result["metrics"].items()},
+                "first_wall_s": record["manifest"]["walls_s"][0]})
             print(side, json.dumps(runs[side][-1]), flush=True)
 
     summary = {}

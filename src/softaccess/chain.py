@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .rates import ChainParams, RateValue, Unstable
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ChainDistribution",
@@ -139,6 +141,8 @@ def transition_matrix(params: ChainParams, lambda_p: float, K: int) -> sparse.cs
     truncation from level K is reflected back into level K, so P stores
     8K entries. `.toarray()` gives a dense view.
     """
+    from scipy import sparse  # here, so that only the chain oracle pays for importing scipy
+
     if K < 2:
         raise ValueError("truncation K must be at least 2")
     lam = lambda_p
@@ -185,6 +189,9 @@ def numeric_distribution(params: ChainParams, lambda_p: float, K: int | None = N
         raise ValueError("K must be at least 2")
     if lam > 0.0 and params.psi > 0.0 and params.psi ** K >= 1e-12:
         raise ValueError(f"K={K} too small: psi^K = {params.psi ** K:.3e} >= 1e-12")
+
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
 
     P = transition_matrix(params, lam, K)
     n = P.shape[0]

@@ -13,19 +13,23 @@ search over b along that frontier.
 
 The frontier is stated once, by the prefix sums prefix0 and prefix1 of
 p0 and p1: segment k spans b in [prefix1[k], prefix1[k+1]], where s0 =
-prefix0[k] + (b - prefix1[k]) p_k^0/p_k^1. The ALOHA stop, the search
-segments and the policy at the best budget are all read off those two
-arrays.
+prefix0[k] + (b - prefix1[k]) p_k^0/p_k^1. The ALOHA stop, the segment
+that holds a budget and the policy at the best budget are all read off
+those two arrays.
 
 One frontier search serves every sensing scheme; `rates` supplies the
-queue law, log pi_0 as a function of log w = M_s log(1-b) and the log w
-at which the queue loses stability. Inside each frontier segment s0 is
-linear in b; a bounded Brent search on every segment (step tolerance
-1e-13 in b), plus that segment's right edge, finds the optimum. The
-no-feedback log pi_0 is concave in b; the feedback one is concave only
-while (M_s-1)*c0 <= c1*(1-b)^M_s, with c0 = delta_bar*(1-lambda) - lambda
-and c1 = lambda*delta_bar, so the tests hold both schemes against a
-dense frontier evaluation.
+queue law, d log pi_0/d log w as a function of log w = M_s log(1-b), and
+the log w at which the queue loses stability. The search bisects on the
+sign of the right derivative of log mu_s along the frontier,
+g(b) = r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) d log pi_0/d log w, with
+r_k = p_k^0/p_k^1 on the segment k that holds b. It rests on the objective
+of each segment being unimodal. Since r_k strictly decreases in k and the
+ALOHA factor's derivative is positive below s0 = 1/M_s, g can then only
+jump down at bin edges, so it changes sign once along the whole frontier.
+The feedback log pi_0 is concave in b only while
+(M_s-1)*c0 <= c1*(1-b)^M_s, with c0 = delta_bar*(1-lambda) - lambda and
+c1 = lambda*delta_bar, so the tests hold both schemes against a dense
+frontier evaluation.
 
 `evaluate` is the one place that maps a scheme to its solver and detector,
 and reads its primary queue from `rates.chain_params`; the CLI and the
@@ -33,19 +37,18 @@ acceptance tests read it.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import delay_fb
 from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
     _delta_bar,
-    _log_aloha_factor,
     _log_w,
     _margin,
     _queue_law,
@@ -84,59 +87,52 @@ def _infeasible(scheme: Scheme, n: int) -> OptResult:
 def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
     """Best greedy-prefix policy of a sensing scheme (FEEDBACK, NO_FEEDBACK or HARD_DECISION).
 
-    It searches the queue law of `rates._queue_law`, in log w = M_s log(1-b).
-    The search ends where s0 reaches 1/M_s or the queue loses stability;
-    that stop and the policy at the best budget b, k full bins plus
-    (b - prefix1[k]) / p_k^1 of bin k, are both searchsorted on the prefix
-    sums. The reported objective is the rates throughput at that policy.
+    One bisection over the budget b finds the sign change of g, the right
+    derivative of log mu_s along the frontier, and stops when the midpoint
+    equals an end of its bracket. The search ends where s0 reaches 1/M_s or
+    the queue loses stability; the policy at the returned budget is k full
+    bins plus (b - prefix1[k]) / p_k^1 of bin k. The reported objective is
+    the rates throughput at that policy, and `iterations` counts evaluations of g.
     """
     n = sensing.n
     M_s = cfg.M_s
-    log_pi0, edge = _queue_law(cfg, scheme)
+    slope, edge = _queue_law(cfg, scheme)
     if edge >= 0.0:  # unstable even with the secondaries silent
         return _infeasible(scheme, n)
-    p0 = sensing.p0()
-    p1 = sensing.p1()
-    prefix0 = np.concatenate([[0.0], np.cumsum(p0)])
-    prefix1 = np.concatenate([[0.0], np.cumsum(p1)])
+    p0 = sensing.p0().tolist()
+    p1 = sensing.p1().tolist()
+    prefix0 = [0.0, *itertools.accumulate(p0)]
+    prefix1 = [0.0, *itertools.accumulate(p1)]
     # budget never worth pushing past the aloha stationary point s0 = 1/M_s or stability
-    stop = int(np.searchsorted(prefix0[1:], 1.0 / M_s, side="right"))
-    if M_s == 1:
-        b_target = float(p1.sum())
-    elif stop < n:  # s0 reaches 1/M_s inside bin `stop`
-        b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
-    else:
+    stop = bisect.bisect_right(prefix0, 1.0 / M_s, lo=1) - 1
+    if M_s == 1 or stop == n:
         b_target = prefix1[n]
-    hi = min(float(p1.sum()), b_target, -math.expm1(edge / M_s) * (1.0 - 1e-12))  # b at the edge
+    else:  # s0 reaches 1/M_s inside bin `stop`
+        b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
+    hi = min(prefix1[n], b_target, -math.expm1(edge / M_s) * (1.0 - 1e-12))  # b at the edge
 
-    def log_objective(b: float, seg: int) -> float:
-        # s0 along the frontier is linear inside segment `seg`
-        s0 = prefix0[seg] + (b - prefix1[seg]) * (p0[seg] / p1[seg])
-        return log_pi0(M_s * math.log1p(-b)) + _log_aloha_factor(s0, M_s)
+    def segment(b: float) -> tuple[int, float]:
+        # the bin k that holds budget b, past bins of no width, and its access a_k
+        k = bisect.bisect_right(prefix1, b) - 1
+        return k, ((b - prefix1[k]) / p1[k] if k < n else 0.0)
 
-    best_b = 0.0
-    best_val = -math.inf
-    evals = 0
-    for seg in range(n):
-        lo_b = float(prefix1[seg])
-        hi_b = min(float(prefix1[seg + 1]), hi)
-        if hi_b <= lo_b:
-            break
-        res = minimize_scalar(lambda b: -log_objective(b, seg), bounds=(lo_b, hi_b),
-                              method="bounded", options={"xatol": 1e-13, "maxiter": 500})
-        evals += int(res.nfev)
-        for b in (float(res.x), hi_b):  # segment interior plus its right edge
-            val = log_objective(b, seg)
-            if val > best_val:
-                best_val = val
-                best_b = b
+    def g(b: float) -> float:
+        # r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) * d log pi_0/d log w, at 0 < b < hi
+        k, a_k = segment(b)
+        s0 = prefix0[k] + a_k * p0[k]
+        aloha = 1.0 / s0 - ((M_s - 1) / (1.0 - s0) if M_s > 1 else 0.0)
+        return p0[k] / p1[k] * aloha - M_s / (1.0 - b) * slope(M_s * math.log1p(-b))
 
-    # full bins while their s1 fits in best_b, then the partial bin k
-    k = int(np.searchsorted(prefix1[1:], best_b, side="right"))
-    a = np.zeros(n)
-    a[:k] = 1.0
-    if k < n:
-        a[k] = (best_b - prefix1[k]) / p1[k]
+    lo, evals = 0.0, 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        evals += 1
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+    k, a_k = segment(hi)
+    a = [1.0] * k + [a_k] + [0.0] * (n - k - 1) if k < n else [1.0] * n
     policy = AccessPolicy(tuple(a), scheme)
     objective = _throughput(cfg, sensing, policy, scheme)
     if isinstance(objective, Unstable):  # can only happen at degenerate zero headroom
@@ -148,16 +144,13 @@ def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     """Optimize the feedback-scheme policy along the greedy prefix frontier.
 
     The objective pi_0 * (1-P_sd) * s0 (1-s0)^(M_s-1) with the feedback
-    pi_0 = (chi - lambda_p)/delta_bar is searched along the greedy prefix
-    frontier by a bounded Brent search per frontier segment, to an
-    absolute step of 1e-13 in the s1 budget b. In exact arithmetic, at
-    lambda_p/delta_bar = 1 - eps, it falls at most 4.7e-15 relative short
-    of a local search within 0.1% of its b for eps in [1e-6, 1e-3], and
-    5.2e-13 for eps in [1e-9, 1e-6] (300 networks each).
-    The objective is flat to rounding near its optimum, so the entries
-    a_i are fixed to about 8 digits. The reported objective is the plain
-    rates formula evaluated at the policy, and `iterations` counts
-    objective evaluations.
+    pi_0 = (chi - lambda_p)/delta_bar is maximized along the greedy prefix
+    frontier by bisecting the sign of its derivative in the s1 budget b down
+    to adjacent floats. The entry a_k of the partial bin lies within 1e-13
+    relative of the exact root of that derivative, or within 1e-15 b/p_k^1
+    where bin k holds a small share of b, the resolution of a float budget
+    (tests/test_exact.py). The reported objective is the plain rates formula
+    evaluated at the policy, and `iterations` counts derivative evaluations.
     """
     return _frontier_optimum(cfg, sensing, Scheme.FEEDBACK)
 
@@ -166,13 +159,9 @@ def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     """Optimize the no-feedback policy along the greedy prefix frontier.
 
     The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
-    in the s1 budget b along the greedy prefix frontier, and a bounded
-    Brent search per frontier segment finds its optimum to an absolute
-    step of 1e-13 in b. In exact arithmetic, at lambda_p/delta_bar = 1 - eps,
-    it falls at most 5.3e-15 relative short of a local search within 0.1%
-    of its b for eps in [1e-6, 1e-3], and 6.8e-13 for eps in [1e-9, 1e-6]
-    (300 networks each). The entries a_i are fixed to about 8 digits,
-    since the objective is flat to rounding near its optimum.
+    in the s1 budget b along the greedy prefix frontier. The same bisection
+    as `solve_feedback`'s finds the sign change of its derivative, with the
+    same bound against the exact root.
     """
     return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
 

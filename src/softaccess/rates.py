@@ -124,28 +124,30 @@ def _margin(delta_bar: float, lam: float, k: float, log_w: float) -> float:
 
 
 def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> tuple[Callable[[float], float], float]:
-    """A scheme's log pi_0 as a function of log w, and the log w at which its margin reaches zero.
+    """A scheme's d log pi_0 / d log w as a function of log w, and the log w at which its margin reaches zero.
 
-    log pi_0 = log(margin/beta), beta as in `_slope`, is -inf below the edge: everywhere if it is >= 0.
+    pi_0 = margin/beta, beta as in `_slope`, and the margin grows by k*w per unit of log w, so the
+    slope is k*w/margin with feedback; without it beta = delta_bar*w takes 1 off, leaving
+    lambda/margin. It is inf below the edge: everywhere if the edge is >= 0.
     """
     delta_bar, lam = _delta_bar(cfg), cfg.lambda_p
     if lam >= delta_bar:  # unstable even with the secondaries silent; delta_bar may be 0
-        return lambda log_w: -math.inf, 0.0
+        return lambda log_w: math.inf, 0.0
     k = _slope(delta_bar, lam, scheme)
     edge = math.log1p((lam - delta_bar) / k) if k > delta_bar - lam else -math.inf
-    log_delta_bar, beta_has_w = math.log(delta_bar), scheme is not Scheme.FEEDBACK
+    beta_has_w = scheme is not Scheme.FEEDBACK
 
-    def log_pi0(log_w: float) -> float:
+    def slope(log_w: float) -> float:
         margin = _margin(delta_bar, lam, k, log_w)
         if margin <= 0.0:
-            return -math.inf
-        return math.log(margin) - log_delta_bar - (log_w if beta_has_w else 0.0)
-    return log_pi0, edge
+            return math.inf
+        return (lam if beta_has_w else k * math.exp(log_w)) / margin
+    return slope, edge
 
 
-def _log_w(s1: float, M_s: int) -> float:
-    # log (1-s1)^M_s; log1p(-1) raises, and expm1(-inf) is the -1 that s1 = 1 needs
-    return M_s * math.log1p(-s1) if s1 < 1.0 else -math.inf
+def _log_w(s: float, M: int) -> float:
+    # log (1-s)^M; log1p(-1) raises, and expm1(-inf) is the -1 that s = 1 needs (0^0 = 1)
+    return M * math.log1p(-s) if s < 1.0 else -math.inf if M else 0.0
 
 
 def _chain(gamma_p: float, beta: float, lambda_p: float, margin: float | None = None) -> ChainParams:
@@ -174,9 +176,9 @@ def chain_params(cfg: NetworkConfig, sensing: SensingConfig | None, policy: Acce
     The margin is `_margin`'s. The genie has s1 = 0, so `sensing` may be None for it.
     """
     s1 = 0.0 if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p1())
-    delta_bar, lam = _delta_bar(cfg), cfg.lambda_p
-    gamma_p = delta_bar * (1.0 - s1) ** cfg.M_s
-    margin = _margin(delta_bar, lam, _slope(delta_bar, lam, scheme), _log_w(s1, cfg.M_s))
+    delta_bar, lam, log_w = _delta_bar(cfg), cfg.lambda_p, _log_w(s1, cfg.M_s)
+    gamma_p = delta_bar * math.exp(log_w)
+    margin = _margin(delta_bar, lam, _slope(delta_bar, lam, scheme), log_w)
     return _chain(gamma_p, delta_bar if scheme is Scheme.FEEDBACK else gamma_p, lam, margin)
 
 
@@ -214,7 +216,7 @@ def _throughput(cfg: NetworkConfig, sensing: SensingConfig | None, policy: Acces
     if isinstance(empty, Unstable):
         return empty
     s0 = policy.a[0] if scheme is Scheme.GENIE else joint_access_probability(policy, sensing.p0())
-    return empty * (1.0 - secondary_outage(cfg)) * (s0 * (1.0 - s0) ** (cfg.M_s - 1))
+    return empty * (1.0 - secondary_outage(cfg)) * (s0 * math.exp(_log_w(s0, cfg.M_s - 1)))
 
 
 def secondary_throughput_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> RateValue:
@@ -233,14 +235,6 @@ def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: 
     Same product as the no-feedback formula with the feedback pi_0.
     """
     return _throughput(cfg, sensing, policy, Scheme.FEEDBACK)
-
-
-def _log_aloha_factor(s0: float, M_s: int) -> float:
-    if s0 <= 0.0:
-        return -math.inf
-    if s0 >= 1.0:
-        return -math.inf if M_s > 1 else 0.0
-    return math.log(s0) + (M_s - 1) * math.log1p(-s0)
 
 
 def stability(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy, scheme: Scheme) -> StabilityReport:

@@ -21,7 +21,6 @@ from softaccess import (
     solve_feedback,
     transition_matrix,
 )
-from softaccess import chain
 from softaccess.model import AccessPolicy
 
 from conftest import load_ratio_lambda, sample_network, sample_stable_params
@@ -144,7 +143,7 @@ class TestNumeric:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver reached past the truncation guard")
 
-        monkeypatch.setattr(chain, "spsolve", no_solve)
+        monkeypatch.setattr("scipy.sparse.linalg.spsolve", no_solve)
         lam = load_ratio_lambda(0.9999)
         params = chain_params_from_rates(0.2, 0.75, lam)
         assert default_truncation(params.psi) == 100_000
@@ -153,7 +152,7 @@ class TestNumeric:
 
     def test_residual_check_raises_solve_error(self, monkeypatch):
         # a uniform vector is not stationary, so the residual check must fire
-        monkeypatch.setattr(chain, "spsolve", lambda A, b: np.ones(b.size))
+        monkeypatch.setattr("scipy.sparse.linalg.spsolve", lambda A, b: np.ones(b.size))
         params = chain_params_from_rates(0.4, 0.5, 0.15)
         with pytest.raises(SolveError, match="residual"):
             numeric_distribution(params, 0.15, K=200)

@@ -1,15 +1,18 @@
-"""Exact-arithmetic oracle for the primary-queue closed forms.
+"""Exact-arithmetic oracle for the primary-queue closed forms and the optima.
 
 Every quantity is evaluated in rationals (fractions.Fraction) at the
 package's own float inputs: delta_bar, s1, s0, lambda_p, M_s and 1-P_sd.
 What is left between the two is the float program's own rounding, which
 the package must hold to PRECISION relative, at the optima of the four
 schemes on networks at the stability edge (lambda_p/delta_bar = 1 - eps),
-on typical ones and on single-primary ones at the edge, where gamma_p is
-near 1.
+on typical ones, on single-primary ones at the edge, where gamma_p is
+near 1, and on ones with 10 to 1000 secondaries, where a power (1-s)^M_s
+formed by repeated rounding would lose about M_s ulps. The optimizers'
+policies are held to the exact root of their first-order condition.
 """
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,16 +22,19 @@ from softaccess import (
     NetworkConfig,
     Scheme,
     Unstable,
+    baseline_hard_decision,
     chain_params,
     default_sensing,
     delay_fb,
     delta_pi0,
     evaluate,
+    hard_decision_sensing,
     joint_access_probability,
     pi0,
     primary_outage,
     secondary_outage,
     solve_feedback,
+    solve_nofb,
     stability,
 )
 
@@ -38,21 +44,18 @@ PRECISION = 1e-15
 NETWORKS = 300
 
 
-def exact_queue(delta_bar: float, lam: float, s1: float, M_s: int) -> dict:
-    """pi_0, delay and stability margin of each queue, and delta_pi0, in rationals."""
+def exact_queue(delta_bar: float, lam: float, s1: float, M_s: int, queue: str) -> dict:
+    """pi_0, delay and stability margin of the queue ("fb" or "nofb"), and delta_pi0, in rationals."""
     d, l = Fraction(delta_bar), Fraction(lam)
-    mu_p = d * (1 - Fraction(s1)) ** M_s
+    w = (1 - Fraction(s1)) ** M_s
+    mu_p = d * w
+    exact = {"margin_nofb": mu_p - l, "delta_pi0": l * (1 - mu_p) / mu_p * (1 - w)}
+    if queue == "nofb":
+        return {**exact, "pi0_nofb": (mu_p - l) / mu_p, "delay_nofb": (1 - l) / (mu_p - l)}
     chi = l * mu_p + (1 - l) * d
-    return {
-        "margin_nofb": mu_p - l,
-        "margin_fb": chi - l,
-        "pi0_nofb": (mu_p - l) / mu_p,
-        "pi0_fb": (chi - l) / d,
-        "delay_nofb": (1 - l) / (mu_p - l),
-        "delay_fb": ((mu_p - chi) * (chi - l) ** 2 + (1 - l) ** 2 * (1 - mu_p) * chi)
-                    / ((1 - l) * (1 - chi) * d * (chi - l)),
-        "delta_pi0": l * (1 - mu_p) / mu_p * (1 - (1 - Fraction(s1)) ** M_s),
-    }
+    return {**exact, "margin_fb": chi - l, "pi0_fb": (chi - l) / d,
+            "delay_fb": ((mu_p - chi) * (chi - l) ** 2 + (1 - l) ** 2 * (1 - mu_p) * chi)
+                        / ((1 - l) * (1 - chi) * d * (chi - l))}
 
 
 def exact_mu_s(pi0: Fraction, clear_sd: float, s0: float, M_s: int) -> Fraction:
@@ -88,6 +91,15 @@ def single_primary_networks(seed: int):
         yield sample_network(rng, lam_frac=1.0 - eps, M_p=1)
 
 
+def large_population_networks(seed: int):
+    # M_s log-uniform in [10, 1000]; lambda_p and the detector do not depend on it
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        cfg, sensing = sample_network(rng)
+        M_s = int(round(10.0 ** rng.uniform(1.0, 3.0)))
+        yield dataclasses.replace(cfg, M_s=M_s), sensing
+
+
 def errors_at_optima(cfg, sensing) -> dict:
     """Largest relative error of each package quantity at the four schemes' optima."""
     lam, M_s = cfg.lambda_p, cfg.M_s
@@ -107,8 +119,8 @@ def errors_at_optima(cfg, sensing) -> dict:
         else:
             s1 = joint_access_probability(policy, point.sensing.p1())
             s0 = joint_access_probability(policy, point.sensing.p0())
-        exact = exact_queue(delta_bar, lam, s1, M_s)
         queue = "fb" if scheme is Scheme.FEEDBACK else "nofb"
+        exact = exact_queue(delta_bar, lam, s1, M_s, queue)
         record(f"pi0_{queue}", point.pi0, exact[f"pi0_{queue}"])
         record(f"delay_{queue}", point.delay, exact[f"delay_{queue}"])
         if scheme is not Scheme.GENIE:  # the genie's margin is delta_bar - lambda_p
@@ -132,8 +144,8 @@ def errors_at_optima(cfg, sensing) -> dict:
 
 
 @pytest.mark.parametrize("networks", [edge_networks(101), typical_networks(103),
-                                      single_primary_networks(107)],
-                         ids=["edge", "typical", "single-primary"])
+                                      single_primary_networks(107), large_population_networks(109)],
+                         ids=["edge", "typical", "single-primary", "large-M_s"])
 def test_closed_forms_match_exact_arithmetic(networks):
     worst = {}
     for cfg, sensing in networks:
@@ -166,3 +178,63 @@ def test_reference_feedback_policy_is_exactly_better_than_the_old_pin():
 
     a = solve_feedback(cfg, sensing).policy.a
     assert objective(a) >= objective((a[0], 0.2488844219184036) + a[2:])
+
+
+def first_order_condition(cfg, sensing, scheme: Scheme, k: int):
+    """g(a) on frontier segment k, in rationals: the right derivative of log mu_s in the budget.
+
+    At access a to bin k (bins before it full) the budget is b = sum(p1[:k]) + a p_k^1, and
+    g = r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) * d log pi_0/d log w with r_k = p_k^0/p_k^1;
+    it is -1 where the queue is unstable.
+    """
+    d = Fraction((1.0 - primary_outage(cfg)) / cfg.M_p)
+    lam, M_s = Fraction(cfg.lambda_p), cfg.M_s
+    p0 = [Fraction(p) for p in sensing.p0()]
+    p1 = [Fraction(p) for p in sensing.p1()]
+
+    def g(a: Fraction) -> Fraction:
+        s0, b = sum(p0[:k]) + a * p0[k], sum(p1[:k]) + a * p1[k]
+        w = (1 - b) ** M_s
+        # margin chi - lambda with feedback, mu_p - lambda without (beta = gamma_p = delta_bar w)
+        margin = d - lam + lam * d * (w - 1) if scheme is Scheme.FEEDBACK else d * w - lam
+        if margin <= 0:
+            return Fraction(-1)
+        slope = (lam * d * w if scheme is Scheme.FEEDBACK else lam) / margin
+        aloha = 1 / s0 - (M_s - 1) / (1 - s0) if M_s > 1 else 1 / s0
+        return p0[k] / p1[k] * aloha - M_s / (1 - b) * slope
+    return g
+
+
+@pytest.mark.parametrize("networks", [edge_networks(101), typical_networks(103)],
+                         ids=["edge", "typical"])
+def test_optima_are_the_exact_roots_of_the_first_order_condition(networks):
+    # g falls across 0 once along the frontier. An interior a_k must sit at its
+    # exact root; a policy on a bin edge or at the frontier's end must see g
+    # change sign there, or stay positive up to the end
+    roots = 0
+    for cfg, sensing in networks:
+        for scheme, solver, sens in ((Scheme.FEEDBACK, solve_feedback, sensing),
+                                     (Scheme.NO_FEEDBACK, solve_nofb, sensing),
+                                     (Scheme.NO_FEEDBACK, baseline_hard_decision,
+                                      hard_decision_sensing(sensing))):
+            a = solver(cfg, sensing).policy.a
+            k = a.count(1.0)
+            if k == len(a) or a[k] == 0.0:  # end of the frontier, or the edge of bin k
+                assert first_order_condition(cfg, sens, scheme, k - 1)(Fraction(1)) > 0, cfg
+                if k < len(a):
+                    assert first_order_condition(cfg, sens, scheme, k)(Fraction(0)) <= 0, cfg
+                continue
+            g = first_order_condition(cfg, sens, scheme, k)
+            lo, hi = Fraction(0), Fraction(1)
+            while hi - lo > hi / 2 ** 64:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            # the float budget b resolves a_k only to about ulp(b)/p_k^1, which
+            # exceeds 1e-13 a_k where bin k holds a small share of b
+            p1 = [Fraction(p) for p in sens.p1()]
+            budget = sum(p1[:k]) + lo * p1[k]
+            err = abs(Fraction(a[k]) - lo)
+            assert err <= Fraction(1e-13) * lo + Fraction(1e-15) * budget / p1[k], \
+                f"{solver.__name__}: a_{k + 1} {float(err / lo):.2e} relative at {cfg}"
+            roots += 1
+    assert roots >= NETWORKS

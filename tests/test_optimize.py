@@ -52,7 +52,8 @@ class TestSolveFeedback:
         assert res.objective == pytest.approx(FB_OBJ_REF, rel=1e-12)
         assert res.policy.scheme is Scheme.FEEDBACK
         assert res.policy.a[0] == pytest.approx(1.0)
-        assert res.policy.a[1] == pytest.approx(0.2488844033153971, rel=1e-12)
+        # the exact root of the first-order condition is 0.24888438572978791
+        assert res.policy.a[1] == pytest.approx(0.2488843857297879, rel=1e-12)
         assert res.policy.a[2] == 0.0 and res.policy.a[3] == 0.0
 
     def test_objective_is_rates_formula(self, ref_cfg, ref_sensing):
@@ -98,6 +99,8 @@ class TestSolveNofb:
         assert res.objective == pytest.approx(NOFB_OBJ_REF, rel=1e-12)
         assert res.policy.scheme is Scheme.NO_FEEDBACK
         assert res.policy.a[0] == pytest.approx(1.0)
+        # the exact root of the first-order condition is 0.23443713760222121
+        assert res.policy.a[1] == pytest.approx(0.23443713760222112, rel=1e-12)
         assert res.policy.a[2] == 0.0 and res.policy.a[3] == 0.0
 
     def test_objective_is_rates_formula(self, ref_cfg, ref_sensing):
@@ -118,9 +121,10 @@ class TestSolveNofb:
         s0 = float(np.dot(res.policy.a, ref_sensing.p0()))
         assert s0 == pytest.approx(0.5, rel=1e-12)
 
-    def test_kkt_residual_at_optimum(self, ref_cfg, ref_sensing):
-        res = solve_nofb(ref_cfg, ref_sensing)
-        assert kkt_residual_nofb(ref_cfg, ref_sensing, res.policy) <= 1e-8
+    def test_kkt_residual_at_optimum(self):
+        for cfg, sensing in dense_oracle_networks():
+            res = solve_nofb(cfg, sensing)
+            assert kkt_residual_nofb(cfg, sensing, res.policy) <= 1e-12, cfg
 
     def test_kkt_rejects_clearly_suboptimal(self, ref_cfg, ref_sensing):
         pol = AccessPolicy((0.5, 0.5, 0.5, 0.5))
@@ -188,7 +192,8 @@ class TestBaselines:
         res = baseline_genie(cfg)
         a = 1.0 / M_s
         empty = pi0(cfg, None, res.policy, Scheme.GENIE)
-        assert res.objective == empty * (1 - secondary_outage(cfg)) * (a * (1 - a) ** (M_s - 1))
+        factor = a * math.exp((M_s - 1) * math.log1p(-a)) if M_s > 1 else a
+        assert res.objective == empty * (1 - secondary_outage(cfg)) * factor
 
     def test_genie_dominates_feedback(self, ref_sensing):
         for lam in (0.0, 0.05, 0.1, 0.2):
@@ -364,18 +369,23 @@ def dense_frontier_max(cfg, sensing, scheme, points=10_001, levels=3):
     return best
 
 
+BELOW_ALOHA = NetworkConfig(M_s=2, lambda_p=0.05)
+
+
+def dense_oracle_networks():
+    """120 random networks, then one whose whole idle mass lies below the ALOHA point."""
+    rng = np.random.default_rng(59)
+    for _ in range(120):
+        cfg, sensing = sample_network(rng, n=int(rng.integers(1, 9)))
+        yield dataclasses.replace(cfg, M_s=int(rng.integers(1, 11))), sensing
+    # p0 sums to 0.4, below 1/M_s: the search runs to the last bin, and both
+    # optima are the all-ones policy
+    yield BELOW_ALOHA, default_sensing(BELOW_ALOHA, idle_tail=0.6)
+
+
 class TestDenseFrontierOracle:
     def test_both_solvers_reach_dense_maximum(self):
-        rng = np.random.default_rng(59)
-        networks = []
-        for _ in range(120):
-            cfg, sensing = sample_network(rng, n=int(rng.integers(1, 9)))
-            networks.append((dataclasses.replace(cfg, M_s=int(rng.integers(1, 11))), sensing))
-        # the whole idle mass (p0 sums to 0.4) lies below the ALOHA point 1/M_s:
-        # the search runs to the last bin, and both optima are the all-ones policy
-        below_aloha = NetworkConfig(M_s=2, lambda_p=0.05)
-        networks.append((below_aloha, default_sensing(below_aloha, idle_tail=0.6)))
-        for cfg, sensing in networks:
+        for cfg, sensing in dense_oracle_networks():
             for scheme, solver in ((Scheme.FEEDBACK, solve_feedback),
                                    (Scheme.NO_FEEDBACK, solve_nofb)):
                 res = solver(cfg, sensing)
@@ -384,7 +394,7 @@ class TestDenseFrontierOracle:
                 assert dense > 0.0
                 assert res.objective >= dense * (1.0 - 1e-9)
                 assert res.objective <= dense * (1.0 + 1e-9)
-                if cfg is below_aloha:
+                if cfg is BELOW_ALOHA:
                     assert res.policy.a == (1.0,) * sensing.n
 
 
@@ -447,6 +457,31 @@ class TestFrontierPolicy:
                 assert res.feasible
                 assert res.objective > 0.0
                 assert stability(near, sensing, res.policy, scheme).stable
+
+
+class TestDegenerateDetectors:
+    @pytest.mark.parametrize("solver", [solve_feedback, solve_nofb, baseline_hard_decision])
+    def test_bin_without_busy_mass(self, solver):
+        # idle_tail just below 1 leaves one bin whose p1 underflows to 0: the
+        # frontier has no width, and access to the bin is free
+        cfg = NetworkConfig()
+        sensing = default_sensing(cfg, n=1, idle_tail=0.9999999999999998)
+        assert sensing.p1()[0] == 0.0 and sensing.p0()[0] > 0.0
+        res = solver(cfg, sensing)
+        assert res.feasible and res.iterations == 0
+        assert res.policy.a == (1.0,)
+        assert res.objective > 0.0
+
+    @SOFT_SOLVERS
+    def test_idle_access_reaching_one_at_one_secondary(self, scheme, solver):
+        # p0 rounds to 1, so s0 reaches 1 inside the frontier, where
+        # (1-s0)^(M_s-1) is 0^0 and the search must read no (M_s-1)/(1-s0)
+        cfg = NetworkConfig(M_s=1, lambda_p=0.0)
+        sensing = default_sensing(cfg, n=2, idle_tail=1e-17)
+        assert sensing.p0().sum() == 1.0
+        res = solver(cfg, sensing)
+        assert res.feasible and res.policy.a == (1.0, 1.0)
+        assert res.objective == pytest.approx(dense_frontier_max(cfg, sensing, scheme), rel=1e-12)
 
 
 class TestSchemeOrdering:
