@@ -14,7 +14,7 @@ records, each under its own key:
   the sha256 of the CSV and .gp files and the repr of every sweep row;
 - on NETWORKS seeded random networks (n 1-8, M_s 1-10, lambda/delta_bar
   near 0, near 1 or uniform): repr of `evaluate` for all four schemes,
-  plus `grid_search` (both soft schemes) and `kkt_residual_nofb` where n <= 3;
+  plus `grid_search` (both soft schemes) where n <= 3;
 - the `run` and `run_traced` reports and the sha256 of the trace bytes
   for fb, nofb, genie, hard and round-robin;
 - the sha256 of the `--sim` CSV of each mc_validate invocation (fb and
@@ -28,7 +28,7 @@ records, each under its own key:
 
 An exception is recorded as its type and message. With --against FILE it
 exits 1 when any key's value differs from FILE's, else 0. On a difference
-it prints, for each top-level group (sweep/<config>, evaluate, grid, kkt,
+it prints, for each top-level group (sweep/<config>, evaluate, grid,
 run, run_traced, mc_validate, chain), how many of its keys differ, then names the
 first key that differs, with both values.
 """
@@ -130,9 +130,6 @@ def capture(sa, workdir: Path) -> dict:
             for scheme in (sa.Scheme.FEEDBACK, sa.Scheme.NO_FEEDBACK):
                 put(f"grid/{i}/{scheme.value}", lambda: repr(
                     sa.grid_search(cfg, sensing, scheme, step=GRID_STEP)))
-            res = sa.solve_nofb(cfg, sensing)
-            if res.feasible:
-                put(f"kkt/{i}", lambda: repr(sa.kkt_residual_nofb(cfg, sensing, res.policy)))
 
     cfg = sa.NetworkConfig(lambda_p=0.1, omega_p=(0.3, 0.3, 0.2, 0.1))
     sensing = sa.default_sensing(cfg)

@@ -11,15 +11,29 @@ checkout's own perfbench/steady.py, parent first on even i and change
 first on odd i, so slow drift of the machine falls on both sides alike. For every end-to-end
 metric of BENCHMARK.json it records each side's median and quartiles and
 how many pairs the change won (ties count for neither), plus each run's
-correct/attempted/failed and the wall time of its first timed repetition
-(`first_wall_s`, which pays for any import the package defers to first use). The result goes under end_to_end[W] of the
---out file, keeping the rest of the file.
+correct/attempted/failed, the wall time of its first timed repetition
+(`first_wall_s`, which pays for any import the package defers to first use),
+its number of timed repetitions and the minor page faults of its child
+processes (`minor_faults`, the getrusage(RUSAGE_CHILDREN) delta over the
+run), with each side's quartiles of the faults per repetition. A run
+repeats its workload for a fixed time, so a faster run takes more faults;
+per repetition, the faults tell a move of the heap apart from a change of
+the code: code that hands its heap back to the OS and faults it in again
+reads slower with more faults per repetition. The result goes under
+end_to_end[W] of the --out file, keeping the rest of the file.
+
+An A/A pair measures the noise floor: pass two copies of one commit, e.g.
+
+    git clone -q . /tmp/a && git clone -q . /tmp/b
+    python3 bench/pairs.py --parent /tmp/a --change /tmp/b \
+        --workload mc_validate --out aa.json
 """
 from __future__ import annotations
 
 import argparse
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -59,13 +73,16 @@ def main(argv=None) -> int:
     for i in range(PAIRS):
         seed = i + 1
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             result, record = steady[side].run_once(command, args.workload, seed,
                                                    spec["run_seconds"], 0)
+            faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
             runs[side].append({
                 "seed": seed, "correct": result["correct"],
                 "attempted": result["attempted"], "failed": result["failed"],
                 **{name: m["value"] for name, m in result["metrics"].items()},
-                "first_wall_s": record["manifest"]["walls_s"][0]})
+                "first_wall_s": record["manifest"]["walls_s"][0],
+                "repetitions": len(record["manifest"]["walls_s"]), "minor_faults": faults})
             print(side, json.dumps(runs[side][-1]), flush=True)
 
     summary = {}
@@ -80,15 +97,21 @@ def main(argv=None) -> int:
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": PAIRS,
         }
+    faults = {side: quartiles([r["minor_faults"] / r["repetitions"] for r in runs[side]])
+              for side in runs}
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("end_to_end", {})[args.workload] = {
-        "run_seconds": spec["run_seconds"], "summary": summary, "runs": runs,
+        "run_seconds": spec["run_seconds"], "summary": summary,
+        "minor_faults_per_repetition": faults,
+        "runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, s in summary.items():
         print(f"{args.workload} {name}: parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g} {s['unit']}, "
               f"change won {s['change_wins']}/{s['pairs']}")
+    print(f"{args.workload} minor faults per repetition: parent {faults['parent']['median']:.0f} "
+          f"change {faults['change']['median']:.0f}")
     return 0
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .chain import SolveError
 from .model import NetworkConfig, Scheme, SensingConfig
 from .optimize import evaluate, solve_feedback, solve_nofb
 from .simulate import CapacityError, SimConfig, run
@@ -148,7 +147,10 @@ def validate_config(path):
     # every network.<field> key names a NetworkConfig field, except the dB threshold
     net_kwargs = _section(values, "network.")
     if "zeta_db" in net_kwargs:
-        net_kwargs["zeta"] = 10.0 ** (net_kwargs.pop("zeta_db") / 10.0)
+        try:
+            net_kwargs["zeta"] = 10.0 ** (net_kwargs.pop("zeta_db") / 10.0)
+        except OverflowError:
+            diagnostics.append(("network.zeta_db", "10^(zeta_db/10) overflows a float"))
     base = resolve("network", lambda: NetworkConfig(**net_kwargs), NetworkConfig())
 
     sigma0 = values.get("sensing.sigma0_sq", base.N_0 / 2.0)
@@ -359,14 +361,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output: {exc}", file=sys.stderr)
         return 2
-    except (SolveError, CapacityError) as exc:
+    except CapacityError as exc:
         print(f"sweep: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if not any(row["feasible"] for row in rows):
         print("no feasible sweep point", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -108,6 +108,11 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if self.zeta < 0.0:
             raise ValueError("zeta must be nonnegative")
+        for name, power in (("r_pd", self.gamma), ("r_sd", self.gamma), ("r_ps", -self.gamma)):
+            try:  # the link budget raises each distance to +-gamma
+                getattr(self, name) ** power
+            except OverflowError:
+                raise ValueError(f"{name}^{power!r} overflows a float") from None
         omega = (1.0 / self.M_p,) * self.M_p if self.omega_p is None else self.omega_p
         object.__setattr__(self, "omega_p", tuple(float(w) for w in omega))
         if len(self.omega_p) != self.M_p:
@@ -229,7 +234,10 @@ def bin_probabilities(eta: float, n: int, sigma_sq: float) -> np.ndarray:
         raise ValueError("n must be at least 1")
     if sigma_sq <= 0.0:
         raise ValueError("sigma_sq must be strictly positive")
-    edges = np.arange(n + 1, dtype=float) * (eta / (2.0 * n * sigma_sq))
+    width = eta / (2.0 * n * sigma_sq)
+    if not math.isfinite(n * width):  # the last edge; inf would make nan bins
+        raise ValueError(f"eta/(2*sigma_sq) = {eta!r}/(2*{sigma_sq!r}) overflows a float")
+    edges = np.arange(n + 1, dtype=float) * width
     tail = np.exp(-edges)
     return tail[:-1] - tail[1:]
 

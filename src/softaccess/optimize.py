@@ -22,14 +22,17 @@ queue law, d log pi_0/d log w as a function of log w = M_s log(1-b), and
 the log w at which the queue loses stability. The search bisects on the
 sign of the right derivative of log mu_s along the frontier,
 g(b) = r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) d log pi_0/d log w, with
-r_k = p_k^0/p_k^1 on the segment k that holds b. It rests on the objective
-of each segment being unimodal. Since r_k strictly decreases in k and the
-ALOHA factor's derivative is positive below s0 = 1/M_s, g can then only
-jump down at bin edges, so it changes sign once along the whole frontier.
-The feedback log pi_0 is concave in b only while
-(M_s-1)*c0 <= c1*(1-b)^M_s, with c0 = delta_bar*(1-lambda) - lambda and
-c1 = lambda*delta_bar, so the tests hold both schemes against a dense
-frontier evaluation.
+r_k = p_k^0/p_k^1 on the segment k that holds b. Its first term strictly
+decreases in b, dropping at each bin edge: s0 grows with b, 1/s0 -
+(M_s-1)/(1-s0) falls and is positive below the ALOHA stop, and r_k falls
+in k. Without feedback, and so for the hard decision, the second term is
+M_s lambda/((1-b)(delta_bar (1-b)^M_s - lambda)), which rises in b below
+the stability edge, so g strictly decreases along the whole frontier and
+its one sign change is the global optimum. With feedback the second term
+is M_s c1 (1-b)^(M_s-1)/(c0 + c1 (1-b)^M_s), c1 = lambda*delta_bar and
+c0 = delta_bar*(1-lambda) - lambda. It rises in b, and log pi_0 is concave
+in b, only while (M_s-1)*c0 <= c1*(1-b)^M_s; beyond that, one sign change
+of g is a premise, which the tests check against a dense frontier search.
 
 `evaluate` is the one place that maps a scheme to its solver and detector,
 and reads its primary queue from `rates.chain_params`; the CLI and the
@@ -49,8 +52,6 @@ from .model import AccessPolicy, NetworkConfig, Scheme, SensingConfig
 from .rates import (
     Unstable,
     _delta_bar,
-    _log_w,
-    _margin,
     _queue_law,
     _throughput,
     chain_params,
@@ -66,7 +67,6 @@ __all__ = [
     "baseline_hard_decision",
     "baseline_genie",
     "grid_search",
-    "kkt_residual_nofb",
     "hard_decision_sensing",
 ]
 
@@ -164,38 +164,6 @@ def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     same bound against the exact root.
     """
     return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
-
-
-def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
-    """Max KKT violation of the no-feedback objective at the policy.
-
-    Interior coordinates must have zero gradient; gradients must point
-    inward at the box faces. Returns the largest violation magnitude.
-    """
-    p0 = sensing.p0()
-    p1 = sensing.p1()
-    a = np.asarray(policy.a)
-    lam = cfg.lambda_p
-    M_s = cfg.M_s
-    delta_bar = _delta_bar(cfg)
-    clear_sd = 1.0 - secondary_outage(cfg)
-    s0 = float(p0 @ a)
-    s1 = float(p1 @ a)
-    mu_p = delta_bar * (1.0 - s1) ** M_s
-    pi0 = _margin(delta_bar, lam, delta_bar, _log_w(s1, M_s)) / mu_p  # slope delta_bar, no feedback
-    h = s0 * (1.0 - s0) ** (M_s - 1)
-    dh = (1.0 - s0) ** (M_s - 2) * (1.0 - M_s * s0) if M_s > 1 else 1.0
-    dpi0 = -lam * M_s / (delta_bar * (1.0 - s1) ** (M_s + 1))
-    grad = clear_sd * (pi0 * dh * p0 + h * dpi0 * p1)
-    residual = 0.0
-    for i in range(a.size):
-        if a[i] < 1e-9:
-            residual = max(residual, grad[i])  # pushing up must not help
-        elif a[i] > 1.0 - 1e-9:
-            residual = max(residual, -grad[i])  # pushing down must not help
-        else:
-            residual = max(residual, abs(grad[i]))
-    return float(residual)
 
 
 def hard_decision_sensing(sensing: SensingConfig) -> SensingConfig:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .model import (
     AccessPolicy,
@@ -34,7 +34,6 @@ __all__ = [
     "Unstable",
     "RateValue",
     "ChainParams",
-    "StabilityReport",
     "primary_outage",
     "secondary_outage",
     "chain_params",
@@ -43,7 +42,6 @@ __all__ = [
     "delta_pi0",
     "secondary_throughput_nofb",
     "secondary_throughput_fb",
-    "stability",
 ]
 
 
@@ -63,11 +61,6 @@ class Unstable:
 
 
 RateValue = Union[float, Unstable]
-
-
-class StabilityReport(NamedTuple):
-    stable: bool
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -236,13 +229,3 @@ def secondary_throughput_fb(cfg: NetworkConfig, sensing: SensingConfig, policy: 
     """
     return _throughput(cfg, sensing, policy, Scheme.FEEDBACK)
 
-
-def stability(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy, scheme: Scheme) -> StabilityReport:
-    """Stability predicate with its signed service margin.
-
-    No-feedback and hard-decision queues need lambda_p < mu_p; the
-    feedback queue needs lambda_p < chi; the genie queue sees no secondary
-    interference at all (s1 = 0), so its margin is (1-P_pd)/M_p - lambda_p.
-    """
-    margin = chain_params(cfg, sensing, policy, scheme).margin
-    return StabilityReport(stable=margin > 0.0, margin=margin)

@@ -30,7 +30,7 @@ import numpy as np
 from .model import AccessPolicy, NetworkConfig, Scheme
 from .rates import primary_outage, secondary_outage
 
-__all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced", "estimate_pi0"]
+__all__ = ["CapacityError", "SimConfig", "SimReport", "run", "run_traced"]
 
 _log = logging.getLogger(__name__)
 
@@ -240,7 +240,6 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
         trace["su_mask"] = su @ (1 << np.arange(M_s))
         trace["outcome"] = np.select([served, busy, n_idle == 1, n_idle > 1],
                                      [1, 2, np.where(lone_clear, 3, 5), 4], 0)
-        trace["feedback"] = np.select([served, busy], [1, 2], 0)
 
 
 def _run_one(kernel, rng, cfg, sim, plan, trace):
@@ -274,17 +273,13 @@ def _run_one(kernel, rng, cfg, sim, plan, trace):
 
 
 def _new_trace(slots: int, M_p: int) -> np.ndarray:
-    dtype = np.dtype([
-        ("slot", "i8"), ("owner", "i8"), ("queues", "i8", (M_p,)),
-        ("r_mask", "i8"), ("su_mask", "i8"), ("outcome", "i8"), ("feedback", "i8"),
-    ])
+    dtype = np.dtype([("owner", "i8"), ("queues", "i8", (M_p,)), ("r_mask", "i8"),
+                      ("su_mask", "i8"), ("outcome", "i8")])
     if slots * dtype.itemsize > CHUNK_BYTES:
         raise CapacityError(f"a trace of sim.slots = {slots} at network.M_p = {M_p} takes "
                             f"{slots * dtype.itemsize} bytes, more than the {CHUNK_BYTES}-byte "
                             "bound")
-    trace = np.zeros(slots, dtype=dtype)
-    trace["slot"] = np.arange(slots, dtype=np.int64)
-    return trace
+    return np.zeros(slots, dtype=dtype)
 
 
 def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig, trace):
@@ -339,14 +334,15 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
                sim: SimConfig | None = None):
     """Single-replication run returning (report, per-slot trace).
 
-    The report is the one `run` gives for the same inputs. The trace
-    records slot-start state: owner, queue lengths, the retransmission
-    mask, plus the slot's secondary mask, outcome code and feedback code.
-    Outcomes: 0 quiet, 1 primary success, 2 primary loss, 3 secondary
-    success, 4 secondary collision, 5 secondary outage loss. Feedback:
-    0 none, 1 ack, 2 nack. The masks are int64 bit sets, so the trace
+    The report is the one `run` gives for the same inputs. Row t of the
+    trace is slot t. Its fields record the slot-start state, `owner`,
+    `queues` (every queue's length) and `r_mask` (the primaries in
+    retransmission), plus the slot's `su_mask` (the secondaries that
+    transmit) and `outcome`: 0 quiet, 1 primary success (the owner's ACK),
+    2 primary loss (its NACK), 3 secondary success, 4 secondary collision,
+    5 secondary outage loss. The masks are int64 bit sets, so the trace
     holds at most 63 primaries and 63 secondaries. The trace takes
-    8 * (M_p + 6) bytes per slot; CapacityError refuses one past
+    8 * (M_p + 4) bytes per slot; CapacityError refuses one past
     CHUNK_BYTES before anything is allocated or drawn.
     """
     sim = sim or SimConfig()
@@ -358,14 +354,3 @@ def run_traced(cfg: NetworkConfig, sensing, policy: AccessPolicy,
     trace = _new_trace(sim.slots, cfg.M_p)
     return _simulate(cfg, sensing, policy, sim, trace), trace
 
-
-def estimate_pi0(trace: np.ndarray, warmup: int = 0) -> float:
-    """Fraction of post-warmup slots whose owner queue is empty at slot start."""
-    rows = trace[trace["slot"] >= warmup]
-    if rows.size == 0:
-        raise ValueError("no slots beyond the warmup")
-    M_p = rows["queues"].shape[1]
-    own = rows["owner"]
-    qsel = rows["queues"][np.arange(rows.size), np.minimum(own, M_p - 1)]
-    empty = (own >= M_p) | (qsel == 0)
-    return float(np.mean(empty))

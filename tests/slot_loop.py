@@ -58,7 +58,6 @@ def sim_chunk(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                     lone = k
 
         outcome = 0
-        fb = 0
         if owner_busy:
             was_first = not phase[own]
             if su_n == 0 and pu_u[i] < plan.clear_pd:
@@ -66,7 +65,6 @@ def sim_chunk(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                 dep_cnt[own] += 1
                 phase[own] = False
                 outcome = 1
-                fb = 1
                 if post:
                     stats[5] += 1
                     stats[6] += t - at
@@ -76,7 +74,6 @@ def sim_chunk(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                 if feedback:
                     phase[own] = True
                 outcome = 2
-                fb = 2
             if post and su_n >= 1:
                 stats[4] += 1
         else:
@@ -106,7 +103,7 @@ def sim_chunk(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                     raise simulate.CapacityError(f"a primary queue held more than {CAP} packets")
 
         if trace is not None:
-            trace[i] = (t, *start, su_mask, outcome, fb)
+            trace[i] = (*start, su_mask, outcome)
 
     for q, w in enumerate(waiting):
         pending[q] = np.array(w, dtype=np.int64)

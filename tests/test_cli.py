@@ -24,7 +24,7 @@ from softaccess import (
     sweep_rows,
     validate_config,
 )
-from softaccess import CapacityError, SolveError, cli, simulate
+from softaccess import CapacityError, cli, simulate
 from softaccess.cli import parse_schemes
 
 
@@ -395,7 +395,6 @@ REF = NetworkConfig()
 # near the stability boundary a queue passes a lowered CAP within the run
 NEAR_EDGE = (f"sweep.values = {0.98 * (1.0 - primary_outage(REF)) / REF.M_p!r}\n"
              "sim.slots = 5000\nsim.warmup = 500\nsim.replications = 1\n")
-SOLVE = SolveError("stationary solve ill-conditioned: residual 1.000e-03")
 QUEUE = CapacityError("a primary queue held more than 65536 packets")
 
 # every documented exit-2 failure: the command, the config text (None: no such
@@ -418,14 +417,24 @@ EXIT_TWO = {
     # the gnuplot script goes to the CSV's path with a .gp suffix
     "gp-out": ("sweep", POINT, ["--out", "{tmp}/x.gp"], {}, "output: "),
     "negative-seed": ("sweep", POINT, ["--sim", "--seed", "-1"], {}, "seed: "),
-    "solve-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(SOLVE)},
-                    f"sweep: SolveError: {SOLVE}\n"),
     "capacity-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(QUEUE)},
                        f"sweep: CapacityError: {QUEUE}\n"),
     "cap-fb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "fb"], {(simulate, "CAP"): 8},
                "sweep: CapacityError: a primary queue held more than 8 packets\n"),
     "cap-nofb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "nofb"], {(simulate, "CAP"): 8},
                  "sweep: CapacityError: a primary queue held more than 8 packets\n"),
+    # finite link values whose powers overflow a float, refused before any solve
+    "zeta_db-overflow": ("validate", "network.zeta_db = 1e300\n", [], {},
+                         "network.zeta_db: 10^(zeta_db/10) overflows a float\n"),
+    "r_ps-overflow": ("validate", "network.r_ps = 1e-300\n", [], {},
+                      "network: r_ps^-3.7 overflows a float\n"),
+    "r_pd-overflow": ("sweep", POINT + "network.r_pd = 1e300\n", [], {},
+                      "network: r_pd^3.7 overflows a float\n"),
+    "r_sd-overflow": ("sweep", POINT + "network.r_sd = 1e300\n", [], {},
+                      "network: r_sd^3.7 overflows a float\n"),
+    # detector bins of infinite width would give nan bin probabilities
+    "eta-overflow": ("sweep", POINT + "sensing.eta = 1e300\n", [], {},
+                     "sensing: eta/(2*sigma_sq) = 1e+300/(2*5e-12) overflows a float\n"),
     # counts past cli.MAX_COUNT are refused before anything that size is built
     "huge-M_p": ("validate", "network.M_p = 1000001\n", [], {}, "network.M_p: must be at most"),
     "huge-n": ("validate", "sensing.n = 1000001\n", [], {}, "sensing.n: must be at most"),

@@ -35,7 +35,6 @@ from softaccess import (
     secondary_outage,
     solve_feedback,
     solve_nofb,
-    stability,
 )
 
 from conftest import sample_network
@@ -124,7 +123,7 @@ def errors_at_optima(cfg, sensing) -> dict:
         record(f"pi0_{queue}", point.pi0, exact[f"pi0_{queue}"])
         record(f"delay_{queue}", point.delay, exact[f"delay_{queue}"])
         if scheme is not Scheme.GENIE:  # the genie's margin is delta_bar - lambda_p
-            record(f"margin_{queue}", stability(cfg, point.sensing, policy, scheme).margin,
+            record(f"margin_{queue}", chain_params(cfg, point.sensing, policy, scheme).margin,
                    exact[f"margin_{queue}"])
         record("mu_s", point.result.objective, exact_mu_s(exact[f"pi0_{queue}"], clear_sd, s0, M_s))
         if scheme is Scheme.FEEDBACK:

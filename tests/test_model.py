@@ -108,6 +108,12 @@ class TestBins:
         total = 1.0 - math.exp(-eta / (2.0 * sigma_sq))
         assert p.sum() == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("eta, n", [(1e300, 4), (1e298, 1_000_000)])
+    def test_refuses_edges_past_the_float_range(self, eta, n):
+        # an infinite bin width or last edge would make 0*inf = nan bins
+        with pytest.raises(ValueError, match="overflows a float"):
+            bin_probabilities(eta, n, 5e-12)
+
     @given(
         eta=st.floats(0.05, 5.0),
         n=st.integers(1, 8),
@@ -171,6 +177,8 @@ class TestNetworkConfig:
         dict(r_pd=-1.0), dict(G_p=0.0), dict(N_0=0.0), dict(gamma=0.0),
         dict(zeta=-1.0), dict(omega_p=(0.5, 0.5)),
         dict(omega_p=(0.5, 0.5, 0.5, 0.5)), dict(omega_p=(0.5, -0.1, 0.3, 0.3)),
+        # distances whose power in the link budget overflows a float
+        dict(r_pd=1e300), dict(r_sd=1e300), dict(r_ps=1e-300),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

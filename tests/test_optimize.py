@@ -12,6 +12,7 @@ from softaccess import (
     AccessPolicy,
     NetworkConfig,
     Scheme,
+    SensingConfig,
     baseline_genie,
     baseline_hard_decision,
     chain_params,
@@ -20,7 +21,6 @@ from softaccess import (
     evaluate,
     grid_search,
     hard_decision_sensing,
-    kkt_residual_nofb,
     pi0,
     primary_outage,
     secondary_outage,
@@ -28,9 +28,9 @@ from softaccess import (
     secondary_throughput_nofb,
     solve_feedback,
     solve_nofb,
-    stability,
 )
 from softaccess.optimize import _aligned_empty
+from softaccess.rates import _delta_bar, _log_w, _margin
 
 from conftest import sample_network
 
@@ -67,8 +67,7 @@ class TestSolveFeedback:
             cfg, sensing = sample_network(rng)
             res = solve_feedback(cfg, sensing)
             if res.feasible:
-                rep = stability(cfg, sensing, res.policy, Scheme.FEEDBACK)
-                assert rep.stable
+                assert chain_params(cfg, sensing, res.policy, Scheme.FEEDBACK).margin > 0.0
 
     def test_infeasible_when_load_exceeds_service(self, ref_sensing):
         cfg = NetworkConfig(lambda_p=0.25)
@@ -90,6 +89,38 @@ class TestSolveFeedback:
         a_grid, obj_grid = grid_search(ref_cfg, sensing, Scheme.FEEDBACK)
         assert res.objective >= obj_grid - 1e-12
         assert abs(res.objective - obj_grid) <= 1e-3
+
+
+def kkt_residual_nofb(cfg: NetworkConfig, sensing: SensingConfig, policy: AccessPolicy) -> float:
+    """Max KKT violation of the no-feedback objective at the policy.
+
+    Interior coordinates must have zero gradient; gradients must point
+    inward at the box faces. Returns the largest violation magnitude.
+    """
+    p0 = sensing.p0()
+    p1 = sensing.p1()
+    a = np.asarray(policy.a)
+    lam = cfg.lambda_p
+    M_s = cfg.M_s
+    delta_bar = _delta_bar(cfg)
+    clear_sd = 1.0 - secondary_outage(cfg)
+    s0 = float(p0 @ a)
+    s1 = float(p1 @ a)
+    mu_p = delta_bar * (1.0 - s1) ** M_s
+    pi0 = _margin(delta_bar, lam, delta_bar, _log_w(s1, M_s)) / mu_p  # slope delta_bar, no feedback
+    h = s0 * (1.0 - s0) ** (M_s - 1)
+    dh = (1.0 - s0) ** (M_s - 2) * (1.0 - M_s * s0) if M_s > 1 else 1.0
+    dpi0 = -lam * M_s / (delta_bar * (1.0 - s1) ** (M_s + 1))
+    grad = clear_sd * (pi0 * dh * p0 + h * dpi0 * p1)
+    residual = 0.0
+    for i in range(a.size):
+        if a[i] < 1e-9:
+            residual = max(residual, grad[i])  # pushing up must not help
+        elif a[i] > 1.0 - 1e-9:
+            residual = max(residual, -grad[i])  # pushing down must not help
+        else:
+            residual = max(residual, abs(grad[i]))
+    return float(residual)
 
 
 class TestSolveNofb:
@@ -143,8 +174,7 @@ class TestSolveNofb:
             cfg, sensing = sample_network(rng)
             res = solve_nofb(cfg, sensing)
             if res.feasible:
-                rep = stability(cfg, sensing, res.policy, Scheme.NO_FEEDBACK)
-                assert rep.stable
+                assert chain_params(cfg, sensing, res.policy, Scheme.NO_FEEDBACK).margin > 0.0
 
 
 class TestBaselines:
@@ -456,7 +486,7 @@ class TestFrontierPolicy:
                 res = solver(near, sensing)
                 assert res.feasible
                 assert res.objective > 0.0
-                assert stability(near, sensing, res.policy, scheme).stable
+                assert chain_params(near, sensing, res.policy, scheme).margin > 0.0
 
 
 class TestDegenerateDetectors:

@@ -24,7 +24,6 @@ from softaccess import (
     secondary_outage,
     secondary_throughput_fb,
     secondary_throughput_nofb,
-    stability,
 )
 
 from conftest import sample_network
@@ -192,26 +191,22 @@ class TestStability:
         cfg = NetworkConfig(lambda_p=0.0)
         pol = AccessPolicy((1.0, 1.0, 1.0, 1.0))
         for scheme in (Scheme.NO_FEEDBACK, Scheme.FEEDBACK, Scheme.GENIE):
-            rep = stability(cfg, ref_sensing, pol, scheme)
-            assert rep.stable
-            assert rep.margin > 0.0
+            assert chain_params(cfg, ref_sensing, pol, scheme).margin > 0.0
 
     def test_saturated_arrivals_never_stable(self, ref_sensing):
         # service is at most 1/M_p per slot, so lambda=1 cannot be served
         cfg = NetworkConfig(lambda_p=1.0)
         pol = AccessPolicy((0.0, 0.0, 0.0, 0.0))
         for scheme in (Scheme.NO_FEEDBACK, Scheme.FEEDBACK, Scheme.GENIE):
-            rep = stability(cfg, ref_sensing, pol, scheme)
-            assert not rep.stable
-            assert rep.margin <= 0.0
+            assert chain_params(cfg, ref_sensing, pol, scheme).margin <= 0.0
 
     def test_feedback_margin_dominates(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
             cfg, sensing = sample_network(rng)
             pol = AccessPolicy(tuple(rng.uniform(0.0, 1.0, size=sensing.n)))
-            m_fb = stability(cfg, sensing, pol, Scheme.FEEDBACK).margin
-            m_no = stability(cfg, sensing, pol, Scheme.NO_FEEDBACK).margin
+            m_fb = chain_params(cfg, sensing, pol, Scheme.FEEDBACK).margin
+            m_no = chain_params(cfg, sensing, pol, Scheme.NO_FEEDBACK).margin
             assert m_fb >= m_no - 1e-15
 
     def test_psi_below_one_iff_stable(self):
