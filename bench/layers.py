@@ -31,8 +31,8 @@ the file is kept:
 - simulator (`simulator`): `run` for each scheme, with the policy
   `optimize.evaluate` gives at the reference network, in the mc_validate
   shape and in Criterion 1's shape of one 10^6-slot replication. Per
-  scheme: the seconds, microseconds per simulated slot and a sha256 of
-  the report's repr.
+  scheme: the seconds, microseconds per simulated slot, minor page
+  faults and a sha256 of the report's repr.
 
 Inputs come from perfbench/workloads.py at its FULL sizes. Every timed
 case runs once untimed, then `repeat` times, and the record keeps the
@@ -179,10 +179,12 @@ def simulator(sa, workloads):
             entry["schemes"][name] = {
                 "seconds": medians["seconds"],
                 "us_per_slot": medians["seconds"] / (slots * replications) * 1e6,
+                "minflt": medians["minflt"],
                 "report_sha256": hashlib.sha256(repr(report).encode()).hexdigest(),
             }
             print(json.dumps({"shape": shape, "scheme": name,
-                              "us_per_slot": entry["schemes"][name]["us_per_slot"]}), flush=True)
+                              "us_per_slot": entry["schemes"][name]["us_per_slot"],
+                              "minflt": medians["minflt"]}), flush=True)
         record[shape] = entry
     return "simulator", record
 

@@ -91,7 +91,8 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
     derivative of log mu_s along the frontier, and stops when the midpoint
     equals an end of its bracket. The search ends where s0 reaches 1/M_s or
     the queue loses stability; the policy at the returned budget is k full
-    bins plus (b - prefix1[k]) / p_k^1 of bin k. The reported objective is
+    bins plus (b - prefix1[k]) / p_k^1 of bin k, except that bins of no
+    width at b fill only up to s0 = 1/M_s. The reported objective is
     the rates throughput at that policy, and `iterations` counts evaluations of g.
     """
     n = sensing.n
@@ -132,6 +133,10 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
             hi = mid
 
     k, a_k = segment(hi)
+    if M_s > 1 and bisect.bisect_left(prefix1, hi) <= stop < k:
+        # segment fills every bin of no width at budget hi, as they cost no
+        # budget; past s0 = 1/M_s they only lower the ALOHA factor
+        k, a_k = stop, (1.0 / M_s - prefix0[stop]) / p0[stop]
     a = [1.0] * k + [a_k] + [0.0] * (n - k - 1) if k < n else [1.0] * n
     policy = AccessPolicy(tuple(a), scheme)
     objective = _throughput(cfg, sensing, policy, scheme)

@@ -6,10 +6,13 @@ doing soft energy-based access, Rayleigh outages, and the retransmission
 feedback loop. Each run draws its random streams in chunks of CHUNK slots
 (fewer where a chunk's arrays would pass CHUNK_BYTES). One chunk step,
 `_sim_chunk_arrays`, serves every scheme: it takes the secondary decisions
-with whole-array NumPy operations, then each primary's departures by one
-owned-slot recursion (`_departures`), and keeps each primary's queue as
-`pending`, the arrival slots of its waiting packets. The tests hold it
-against a plain loop over the same slots, on the same draws.
+with whole-array NumPy operations, then each primary's departures over
+its owned slots by the Lindley recursion in array form (`_departures`;
+with feedback, a fixpoint of at most PASSES such passes, which a slot loop
+finishes on the rare chunk where it does not settle), and keeps each
+primary's queue as `pending`, the arrival slots of its waiting packets.
+Every chunk of a run draws into the same buffers. The tests hold the
+step against a plain loop over the same slots, on the same draws.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -37,6 +40,7 @@ _log = logging.getLogger(__name__)
 CAP = 1 << 16  # most packets one primary queue may hold; bounds the run's memory
 CHUNK = 1 << 17  # slots per chunk of draws; fewer where CHUNK_BYTES requires it
 CHUNK_BYTES = 1 << 29  # most bytes one chunk's arrays, or run_traced's trace, may take
+PASSES = 6  # most fixpoint passes of one primary's feedback departures per chunk
 
 
 class CapacityError(RuntimeError):
@@ -124,9 +128,9 @@ def _plan(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig) -> 
 def _access(e_draws, acc_u, a_vec, scale):
     """Secondary access decisions for every slot and secondary at one energy scale."""
     x = e_draws * scale
-    inside = x < a_vec.size  # int(x) < a_vec.size for finite x >= 0; inf and nan fall outside
-    pa = np.where(inside, a_vec[np.where(inside, x, 0.0).astype(np.int64)], 0.0)
-    return acc_u < pa
+    # x >= 0, so int(x) is its bin; past the last bin, inf and nan read the appended 0
+    np.fmin(x, a_vec.size, out=x)
+    return acc_u < np.append(a_vec, 0.0).take(x.astype(np.int64))
 
 
 def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
@@ -134,22 +138,67 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
 
     D(j+1) = min(D(j) + o(j), at(j)), where D(j) and at(j) count its
     departures and arrivals (q0 included) before its j-th owned slot and
-    o(j) is that slot's service opportunity. Without feedback o is
-    `first_ok`, and D is its cumulative sum O plus min(0, running minimum
-    of at - O) (Lindley 1952; Asmussen, Applied Probability and Queues,
-    ch. III). With feedback a backlogged owner is served on `first_ok` in
-    the first-transmission phase (empty at the previous slot's start, or
-    served in it) and on `clear` in retransmission: one pass over the slots.
+    o(j) is that slot's service opportunity. Given o, D is its cumulative
+    sum O plus min(0, running minimum of at - O) (Lindley 1952; Asmussen,
+    Applied Probability and Queues, ch. III). Without feedback o is
+    `first_ok`. With feedback a backlogged owner is served on `first_ok` in
+    the first-transmission phase and on `clear` in retransmission, and the
+    phase at owned slot j is first exactly where the previous slot was
+    owned and served, or the queue was empty at the previous slot's start.
+
+    So one pass maps guessed phases to o, o to D by the form above, and D
+    back to phases. The phase it gives at j reads only the guesses before
+    j: where its output agrees with its guess on a prefix, that prefix is
+    exact, and so is the first entry where they differ. Passes start from
+    "all first" and stop when output and guess agree (2 to 5 passes, most
+    often 3, on the reference network). After PASSES passes without that,
+    the slot loop `_served` takes the owned slots from the first differing
+    entry on, starting from the exact prefix's departures and last served
+    slot.
     """
     at = q0 + np.cumsum(a_q)[owned] - a_q[owned]
     if not feedback:
-        O = np.cumsum(first_ok[owned])
-        D = O + np.minimum(np.minimum.accumulate(at - O), 0)
-        return owned[np.diff(D, prepend=0) > 0]
+        return owned[np.diff(_lindley(at, first_ok[owned]), prepend=0) > 0]
+    if owned.size == 0:
+        return owned
+    # the opportunities as integers, which np.where and np.cumsum take without a cast
+    fo, cl = first_ok[owned].astype(np.int64), clear[owned].astype(np.int64)
     prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
-    nd, last, served = 0, -2, []
+    after = np.zeros(owned.size, dtype=bool)  # owned slot j directly follows owned slot j-1
+    after[1:] = np.diff(owned) == 1
+    first = np.ones(owned.size, dtype=bool)
+    D = np.zeros(owned.size + 1, dtype=np.int64)
+    for _ in range(PASSES):
+        D[1:] = _lindley(at, np.where(first, fo, cl))
+        served = D[1:] > D[:-1]
+        phase = prev == D[:-1]
+        phase[1:] |= after[1:] & served[:-1]
+        if owned[0] == 0:
+            phase[0] = not r0
+        changed = np.flatnonzero(phase != first)
+        if changed.size == 0:
+            return owned[served]
+        first = phase
+    j = int(changed[0])
+    head = owned[:j][served[:j]]
+    tail = _served(owned[j:], at[j:], prev[j:], fo[j:], cl[j:], r0, int(D[j]),
+                   int(head[-1]) if head.size else -2)
+    return np.concatenate((head, np.array(tail, dtype=np.int64)))
+
+
+def _lindley(at, o):
+    """D(1..m) from D(0) = 0 by D(j+1) = min(D(j) + o(j), at(j))."""
+    O = np.cumsum(o)
+    low = np.minimum.accumulate(at - O)
+    np.minimum(low, 0, out=low)
+    return low + O
+
+
+def _served(owned, at, prev, first_ok, clear, r0, nd, last):
+    """The feedback departures slot by slot, after nd departures with the last in slot `last`."""
+    served = []
     for i, k, k_prev, f_ok, c_ok in zip(owned.tolist(), at.tolist(), prev.tolist(),
-                                        first_ok[owned].tolist(), clear[owned].tolist()):
+                                        first_ok.tolist(), clear.tolist()):
         if k == nd:  # empty at slot start
             continue
         if i == 0:
@@ -160,7 +209,7 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
             served.append(i)
             nd += 1
             last = i
-    return np.array(served, dtype=np.int64)
+    return served
 
 
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,
@@ -182,8 +231,10 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     feedback = plan.scheme is Scheme.FEEDBACK
     idle_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_idle)
     busy_acc = _access(e_draws, acc_u, plan.a_vec, plan.scale_busy)
-    n_idle = idle_acc.sum(axis=1)
-    n_busy = busy_acc.sum(axis=1)
+    # counts across the secondaries by a product: a sum along a short axis is slower
+    ones = np.ones(M_s)
+    n_idle = idle_acc @ ones
+    n_busy = busy_acc @ ones
     clear = pu_u < plan.clear_pd
     first_ok = clear & (n_busy == 0)
     arrive = arr_u < plan.lam
@@ -192,11 +243,13 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     # its retransmission phase and dep[t] who departed in slot t
     q0 = np.array([p.size for p in pending], dtype=np.int64)
     dep = np.zeros((L, M_p), dtype=bool)
+    served = np.zeros(L, dtype=bool)
     for q in range(M_p):
         a_q = arrive[:, q]
         d_at = _departures(np.flatnonzero(owner == q), a_q, int(q0[q]), phase[q],
                            first_ok, clear, feedback)
         dep[d_at, q] = True
+        served[d_at] = True
         d_at += t0
         a_at = np.flatnonzero(a_q) + t0
         waiting = np.concatenate((pending[q], a_at))
@@ -206,9 +259,10 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
         pending[q] = waiting[d_at.size:]
         arr_cnt[q] += a_at.size
         dep_cnt[q] += d_at.size
-    steps = np.zeros((L + 1, M_p), dtype=np.int64)
-    np.cumsum(arrive.astype(np.int64) - dep, axis=0, out=steps[1:])
-    Q = q0 + steps
+    Q = np.empty((L + 1, M_p), dtype=np.int64)
+    Q[0] = q0
+    np.subtract(arrive, dep, out=Q[1:], dtype=np.int64)
+    np.cumsum(Q, axis=0, out=Q)
     if Q.max() > CAP:
         raise CapacityError(f"a primary queue held more than {CAP} packets")
     R = np.zeros((L + 1, M_p), dtype=bool)  # phases stay F without feedback
@@ -222,8 +276,8 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
     busy = in_range & (Qs[rows, own] > 0)
     idle = ~busy
     silent = busy & Rs[rows, own]  # nonzero under feedback only
-    served = dep.any(axis=1)
-    lone_clear = su_u[rows, idle_acc.argmax(axis=1)] < plan.clear_sd
+    # where n_idle is 1, whether that one secondary's link is clear; read nowhere else
+    lone_clear = (idle_acc & (su_u < plan.clear_sd)) @ ones == 1
     p = min(L, max(0, plan.warmup - t0))  # first post-warmup slot of the chunk
     stats[0] += np.count_nonzero((idle & (n_idle == 1) & lone_clear)[p:])
     stats[1] += np.count_nonzero(((Qs > 0) & ~Rs)[p:])
@@ -242,14 +296,23 @@ def _sim_chunk_arrays(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
                                      [1, 2, np.where(lone_clear, 3, 5), 4], 0)
 
 
-def _run_one(kernel, rng, cfg, sim, plan, trace):
+def _draw_buffers(cfg, sim, plan):
+    """Buffers for one chunk's draws, which every chunk of a run draws into."""
+    rows = min(plan.rows, sim.slots)
+    return (np.empty(rows), np.empty((rows, cfg.M_p)), np.empty((rows, cfg.M_s)),
+            np.empty((rows, cfg.M_s)), np.empty(rows), np.empty((rows, cfg.M_s)))
+
+
+def _run_one(kernel, rng, cfg, sim, plan, trace, draws=None):
     """One replication, advanced chunk by chunk by `kernel` (the tests pass a slot loop).
 
-    Returns the stats and, per primary, the arrival and departure counts
-    and the pending arrival slots at the end.
+    `draws` holds `_draw_buffers`' arrays, made here when None. Returns the
+    stats and, per primary, the arrival and departure counts and the
+    pending arrival slots at the end.
     """
-    M_p, M_s = cfg.M_p, cfg.M_s
+    M_p = cfg.M_p
     cum_omega = np.cumsum(np.asarray(cfg.omega_p, dtype=np.float64))
+    own_u, arr_u, e_draws, acc_u, pu_u, su_u = draws or _draw_buffers(cfg, sim, plan)
     pending = [np.zeros(0, dtype=np.int64) for _ in range(M_p)]
     phase = np.zeros(M_p, dtype=bool)
     stats = np.zeros(7, dtype=np.int64)
@@ -260,13 +323,15 @@ def _run_one(kernel, rng, cfg, sim, plan, trace):
         if sim.round_robin:
             owner = (t0 + np.arange(L, dtype=np.int64)) % M_p
         else:
-            owner = np.searchsorted(cum_omega, rng.random(L), side="right").astype(np.int64)
-        arr_u = rng.random((L, M_p))
-        e_draws = rng.standard_exponential((L, M_s))
-        acc_u = rng.random((L, M_s))
-        pu_u = rng.random(L)
-        su_u = rng.random((L, M_s))
-        kernel(plan, t0, owner, arr_u, e_draws, acc_u, pu_u, su_u,
+            owner = np.searchsorted(cum_omega, rng.random(out=own_u[:L]),
+                                    side="right").astype(np.int64)
+        # the draws of one chunk, in the order that fixes the random streams
+        rng.random(out=arr_u[:L])
+        rng.standard_exponential(out=e_draws[:L])
+        rng.random(out=acc_u[:L])
+        rng.random(out=pu_u[:L])
+        rng.random(out=su_u[:L])
+        kernel(plan, t0, owner, arr_u[:L], e_draws[:L], acc_u[:L], pu_u[:L], su_u[:L],
                pending, phase, stats, arr_cnt, dep_cnt,
                None if trace is None else trace[t0:t0 + L])
     return stats, arr_cnt, dep_cnt, pending
@@ -292,9 +357,11 @@ def _simulate(cfg: NetworkConfig, sensing, policy: AccessPolicy, sim: SimConfig,
     est = np.empty((4, R))
     collisions = 0
     counts = np.zeros((3, cfg.M_p), dtype=np.int64)  # arrivals, departures, backlog
+    draws = _draw_buffers(cfg, sim, plan)
     for r, child in enumerate(np.random.SeedSequence(sim.seed).spawn(R)):
         rng = np.random.default_rng(child)
-        stats, arr_cnt, dep_cnt, pending = _run_one(_sim_chunk_arrays, rng, cfg, sim, plan, trace)
+        stats, arr_cnt, dep_cnt, pending = _run_one(_sim_chunk_arrays, rng, cfg, sim, plan,
+                                                    trace, draws)
         with np.errstate(invalid="ignore"):
             est[:, r] = stats[[0, 2, 3, 6]] / [span * cfg.M_s, stats[1], span, stats[5]]
         collisions += int(stats[4])

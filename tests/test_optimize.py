@@ -502,6 +502,20 @@ class TestDegenerateDetectors:
         assert res.policy.a == (1.0,)
         assert res.objective > 0.0
 
+    @pytest.mark.parametrize("solver", [solve_feedback, solve_nofb, baseline_hard_decision])
+    def test_no_busy_mass_stops_at_aloha(self, solver):
+        # every p1 underflows to 0: the frontier has no width, and filling
+        # every bin would put s0 past the ALOHA optimum 1/M_s
+        cfg = NetworkConfig(lambda_p=0.1)
+        sensing = dataclasses.replace(default_sensing(cfg), sigma1_sq=1e300)
+        assert not sensing.p1().any() and sensing.p0().sum() > 1.0 / cfg.M_s
+        res = solver(cfg, sensing)
+        detector = hard_decision_sensing(sensing) if solver is baseline_hard_decision else sensing
+        assert res.feasible and res.iterations == 0
+        assert float(np.dot(res.policy.a, detector.p0())) == pytest.approx(1.0 / cfg.M_s, rel=1e-15)
+        # with no busy mass, access never disturbs the primary: the genie's throughput
+        assert res.objective == pytest.approx(baseline_genie(cfg).objective, rel=1e-15)
+
     @SOFT_SOLVERS
     def test_idle_access_reaching_one_at_one_secondary(self, scheme, solver):
         # p0 rounds to 1, so s0 reaches 1 inside the frontier, where

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from softaccess import (
     SimConfig,
     SimReport,
     default_sensing,
+    evaluate,
     pi0,
     primary_outage,
     run,
@@ -414,6 +416,53 @@ class TestArrayChunk:
         case = (cfg, default_sensing(cfg, idle_tail=0.01), AccessPolicy(a, scheme), sim)
         assert self.reaches_edge(edge, self.assert_matches(case), chunk)
 
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        """Record the owned slots that each fallback to the slot loop `_served` takes over."""
+        taken = []
+        served = simulate._served
+
+        def counted(owned, *args):
+            taken.append(owned.size)
+            return served(owned, *args)
+
+        monkeypatch.setattr(simulate, "_served", counted)
+        return taken
+
+    @pytest.mark.parametrize("edge,passes", [("rare_first_ok", None), ("slot0_retransmission", 1)])
+    def test_fallback_matches_slot_loop(self, monkeypatch, edge, passes):
+        # rare_first_ok finds no fixpoint within PASSES in any chunk; one pass
+        # hands over at every owned slot 0 that a chunk starts in retransmission
+        network, a, round_robin, chunk = self.EDGES[edge]
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        if passes is not None:
+            monkeypatch.setattr(simulate, "PASSES", passes)
+        taken = self.count_fallbacks(monkeypatch)
+        cfg = NetworkConfig(**network)
+        sim = SimConfig(slots=6_000, warmup=500, seed=3, replications=1, scheme=Scheme.FEEDBACK,
+                        round_robin=round_robin)
+        case = (cfg, default_sensing(cfg, idle_tail=0.01), AccessPolicy(a, Scheme.FEEDBACK), sim)
+        self.assert_matches(case)
+        chunks = -(-sim.slots // chunk)
+        if edge == "rare_first_ok":  # one primary owns every slot
+            assert len(taken) == chunks
+        else:
+            assert 0 < len(taken) <= chunks * cfg.M_p
+        # the slot loop takes over past an exact prefix, not from the chunk's start
+        assert min(taken) < chunk // cfg.M_p
+
+    def test_reference_network_finds_the_fixpoint(self, monkeypatch):
+        # mc_validate's loads and shape, at the reference network's fb optimum
+        taken = self.count_fallbacks(monkeypatch)
+        for lam in (0.02, 0.06, 0.10, 0.14):
+            cfg = NetworkConfig(lambda_p=lam)
+            sensing = default_sensing(cfg)
+            policy = evaluate(cfg, sensing, Scheme.FEEDBACK).result.policy
+            for seed in (1, 2, 3):
+                run(cfg, sensing, policy, SimConfig(slots=5_000, warmup=500, seed=seed,
+                                                    replications=20))
+        assert taken == []
+
 
 class TestCapacity:
     def test_chunk_rows_keep_within_the_memory_bound(self, ref_sensing):
@@ -429,6 +478,28 @@ class TestCapacity:
         assert simulate.CHUNK > wider[0] > wider[1] > wider[2] >= 1
         with pytest.raises(CapacityError, match=r"network\.M_s = 10000000 and network\.M_p = 4"):
             rows(M_s=10_000_000)
+
+    @pytest.mark.parametrize("scheme", [Scheme.FEEDBACK, Scheme.NO_FEEDBACK])
+    @pytest.mark.parametrize("M_p,M_s", [(4, 2), (1, 64), (64, 1)])
+    def test_chunk_arrays_peak_within_the_memory_bound(self, ref_sensing, monkeypatch,
+                                                       scheme, M_p, M_s):
+        # a lowered bound sets the rows of a chunk, as it does for a wide network;
+        # the draws and the chunk step's temporaries must peak below it
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 1 << 21)
+        cfg = NetworkConfig(M_p=M_p, M_s=M_s)
+        pol = AccessPolicy((1.0, 0.3, 0.0, 0.0), scheme)
+        plan = simulate._plan(cfg, ref_sensing, pol, SimConfig(**SMALL))
+        assert plan.rows < simulate.CHUNK
+        sim = SimConfig(slots=2 * plan.rows + 1, warmup=100, seed=6, replications=2,
+                        scheme=scheme)
+        run(cfg, ref_sensing, pol, sim)  # lazy imports and first-call caches stay out
+        tracemalloc.start()
+        try:
+            run(cfg, ref_sensing, pol, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < simulate.CHUNK_BYTES
 
     def test_trace_keeps_within_the_memory_bound(self, ref_cfg, ref_sensing, monkeypatch):
         # a lowered bound: 64 bytes per slot of trace at M_p = 4, so 2,000 slots fit exactly
