@@ -159,8 +159,6 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
     at = q0 + np.cumsum(a_q)[owned] - a_q[owned]
     if not feedback:
         return owned[np.diff(_lindley(at, first_ok[owned]), prepend=0) > 0]
-    if owned.size == 0:
-        return owned
     # the opportunities as integers, which np.where and np.cumsum take without a cast
     fo, cl = first_ok[owned].astype(np.int64), clear[owned].astype(np.int64)
     prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
@@ -173,7 +171,7 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
         served = D[1:] > D[:-1]
         phase = prev == D[:-1]
         phase[1:] |= after[1:] & served[:-1]
-        if owned[0] == 0:
+        if owned.size and owned[0] == 0:
             phase[0] = not r0
         changed = np.flatnonzero(phase != first)
         if changed.size == 0:
@@ -189,9 +187,7 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
 def _lindley(at, o):
     """D(1..m) from D(0) = 0 by D(j+1) = min(D(j) + o(j), at(j))."""
     O = np.cumsum(o)
-    low = np.minimum.accumulate(at - O)
-    np.minimum(low, 0, out=low)
-    return low + O
+    return O + np.minimum(np.minimum.accumulate(at - O), 0)
 
 
 def _served(owned, at, prev, first_ok, clear, r0, nd, last):
