@@ -133,7 +133,7 @@ def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme
             hi = mid
 
     k, a_k = segment(hi)
-    if M_s > 1 and bisect.bisect_left(prefix1, hi) <= stop < k:
+    if stop < k and M_s > 1 and bisect.bisect_left(prefix1, hi) <= stop:
         # segment fills every bin of no width at budget hi, as they cost no
         # budget; past s0 = 1/M_s they only lower the ALOHA factor
         k, a_k = stop, (1.0 / M_s - prefix0[stop]) / p0[stop]
