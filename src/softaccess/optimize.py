@@ -12,17 +12,15 @@ in i for exponential bins, so that policy is a greedy prefix
 search over b along that frontier.
 
 The frontier is stated once, by the prefix sums prefix0 and prefix1 of
-p0 and p1: segment k spans b in [prefix1[k], prefix1[k+1]], where s0 =
-prefix0[k] + (b - prefix1[k]) p_k^0/p_k^1. The ALOHA stop, the segment
-that holds a budget and the policy at the best budget are all read off
-those two arrays.
+p0 and p1: with the bins before k full and access a to bin k, s0 =
+prefix0[k] + a p_k^0 and b = prefix1[k] + a p_k^1.
 
 One frontier search serves every sensing scheme; `rates` supplies the
-queue law, d log pi_0/d log w as a function of log w = M_s log(1-b), and
-the log w at which the queue loses stability. The search bisects on the
-sign of the right derivative of log mu_s along the frontier,
+queue law, d log pi_0/d log w as a function of log w = M_s log(1-b),
+which is inf past the stability edge. Along the frontier the right
+derivative of log mu_s in b is
 g(b) = r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) d log pi_0/d log w, with
-r_k = p_k^0/p_k^1 on the segment k that holds b. Its first term strictly
+r_k = p_k^0/p_k^1 on the bin k being filled. Its first term strictly
 decreases in b, dropping at each bin edge: s0 grows with b, 1/s0 -
 (M_s-1)/(1-s0) falls and is positive below the ALOHA stop, and r_k falls
 in k. Without feedback, and so for the hard decision, the second term is
@@ -33,6 +31,12 @@ is M_s c1 (1-b)^(M_s-1)/(c0 + c1 (1-b)^M_s), c1 = lambda*delta_bar and
 c0 = delta_bar*(1-lambda) - lambda. It rises in b, and log pi_0 is concave
 in b, only while (M_s-1)*c0 <= c1*(1-b)^M_s; beyond that, one sign change
 of g is a premise, which the tests check against a dense frontier search.
+
+The search reads only the sign of p_k^1 g, the derivative of log mu_s in
+a_k, with log w local to bin k, so the rounding of b does not fix a_k.
+That sign is never positive at or past s0 = 1/M_s, past the stability
+edge or within n 2^-52 of b = 1, so the search needs no stop or bracket:
+one bisection over the bins with mass and one of a_k.
 
 `evaluate` is the one place that maps a scheme to its solver and detector,
 and reads its primary queue from `rates.chain_params`; the CLI and the
@@ -87,58 +91,51 @@ def _infeasible(scheme: Scheme, n: int) -> OptResult:
 def _frontier_optimum(cfg: NetworkConfig, sensing: SensingConfig, scheme: Scheme) -> OptResult:
     """Best greedy-prefix policy of a sensing scheme (FEEDBACK, NO_FEEDBACK or HARD_DECISION).
 
-    One bisection over the budget b finds the sign change of g, the right
-    derivative of log mu_s along the frontier, and stops when the midpoint
-    equals an end of its bracket. The search ends where s0 reaches 1/M_s or
-    the queue loses stability; the policy at the returned budget is k full
-    bins plus (b - prefix1[k]) / p_k^1 of bin k, except that bins of no
-    width at b fill only up to s0 = 1/M_s. The reported objective is
-    the rates throughput at that policy, and `iterations` counts evaluations of g.
+    `rises(k, a)` says whether log mu_s rises in a_k at access a to bin k,
+    the bins before k full. The first bin k that does not rise when full
+    holds the optimum (all bins are full if none): at its edge a_k = 0 if
+    it does not rise there either, else at the end that does not rise of a
+    bisection of a_k over (0, 1) down to adjacent floats, or the other end
+    where b comes within n 2^-52 of 1. The reported objective is the rates
+    throughput at that policy, and `iterations` counts evaluations of `rises`.
     """
     n = sensing.n
     M_s = cfg.M_s
-    slope, edge = _queue_law(cfg, scheme)
-    if edge >= 0.0:  # unstable even with the secondaries silent
+    slope = _queue_law(cfg, scheme)
+    if slope(0.0) == math.inf:  # unstable even with the secondaries silent
         return _infeasible(scheme, n)
     p0 = sensing.p0().tolist()
     p1 = sensing.p1().tolist()
     prefix0 = [0.0, *itertools.accumulate(p0)]
     prefix1 = [0.0, *itertools.accumulate(p1)]
-    # budget never worth pushing past the aloha stationary point s0 = 1/M_s or stability
-    stop = bisect.bisect_right(prefix0, 1.0 / M_s, lo=1) - 1
-    if M_s == 1 or stop == n:
-        b_target = prefix1[n]
-    else:  # s0 reaches 1/M_s inside bin `stop`
-        b_target = prefix1[stop] + (1.0 / M_s - prefix0[stop]) / p0[stop] * p1[stop]
-    hi = min(prefix1[n], b_target, -math.expm1(edge / M_s) * (1.0 - 1e-12))  # b at the edge
+    # `_throughput` sums s1 = a.p1 in another order, within n*2^-52 of b: past cap it may read 1
+    cap, evals = 1.0 - n * 2.0**-52, 0
 
-    def segment(b: float) -> tuple[int, float]:
-        # the bin k that holds budget b, past bins of no width, and its access a_k
-        k = bisect.bisect_right(prefix1, b) - 1
-        return k, ((b - prefix1[k]) / p1[k] if k < n else 0.0)
-
-    def g(b: float) -> float:
-        # r_k (1/s0 - (M_s-1)/(1-s0)) - M_s/(1-b) * d log pi_0/d log w, at 0 < b < hi
-        k, a_k = segment(b)
-        s0 = prefix0[k] + a_k * p0[k]
-        aloha = 1.0 / s0 - ((M_s - 1) / (1.0 - s0) if M_s > 1 else 0.0)
-        return p0[k] / p1[k] * aloha - M_s / (1.0 - b) * slope(M_s * math.log1p(-b))
-
-    lo, evals = 0.0, 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    def rises(k: int, a: float) -> bool:
+        # p_k^0 (1/s0 - (M_s-1)/(1-s0)) > p_k^1 M_s/(1-b) d log pi_0/d log w, p_k^0 read as 1
+        # where p_k^1 = 0; past the stability edge the slope is inf, and 0*inf = nan reads false
+        nonlocal evals
         evals += 1
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        s0, free, spent = prefix0[k] + a * p0[k], 1.0 - prefix1[k], a * p1[k]
+        if not prefix1[k] + spent < cap or (M_s > 1 and M_s * s0 >= 1.0):
+            return False
+        aloha = (1.0 / s0 if s0 else math.inf) - ((M_s - 1) / (1.0 - s0) if M_s > 1 else 0.0)
+        log_w = M_s * (math.log1p(-prefix1[k]) + math.log1p(-spent / free))
+        return (p0[k] if p1[k] else 1.0) * aloha > p1[k] * M_s / (free - spent) * slope(log_w)
 
-    k, a_k = segment(hi)
-    if stop < k and M_s > 1 and bisect.bisect_left(prefix1, hi) <= stop:
-        # segment fills every bin of no width at budget hi, as they cost no
-        # budget; past s0 = 1/M_s they only lower the ALOHA factor
-        k, a_k = stop, (1.0 / M_s - prefix0[stop]) / p0[stop]
-    a = [1.0] * k + [a_k] + [0.0] * (n - k - 1) if k < n else [1.0] * n
-    policy = AccessPolicy(tuple(a), scheme)
+    # bins past the last with mass change nothing yet can read as rising: filled, not searched
+    m = next((i for i in range(n, 0, -1) if p0[i - 1] or p1[i - 1]), 0)
+    k = bisect.bisect_left(range(m), True, key=lambda k: not rises(k, 1.0))
+    k, a_k = n if k == m else k, 0.0
+    if k < n and rises(k, 0.0):  # else the optimum is the edge of bin k
+        lo, a_k = 0.0, 1.0
+        while lo < (mid := 0.5 * (lo + a_k)) < a_k:
+            if rises(k, mid):
+                lo = mid
+            else:
+                a_k = mid
+        a_k = a_k if prefix1[k] + a_k * p1[k] < cap else lo
+    policy = AccessPolicy(tuple(([1.0] * k + [a_k] + [0.0] * n)[:n]), scheme)
     objective = _throughput(cfg, sensing, policy, scheme)
     if isinstance(objective, Unstable):  # can only happen at degenerate zero headroom
         return _infeasible(scheme, n)
@@ -150,12 +147,13 @@ def solve_feedback(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
 
     The objective pi_0 * (1-P_sd) * s0 (1-s0)^(M_s-1) with the feedback
     pi_0 = (chi - lambda_p)/delta_bar is maximized along the greedy prefix
-    frontier by bisecting the sign of its derivative in the s1 budget b down
-    to adjacent floats. The entry a_k of the partial bin lies within 1e-13
-    relative of the exact root of that derivative, or within 1e-15 b/p_k^1
-    where bin k holds a small share of b, the resolution of a float budget
+    frontier: a bisection over the bins finds the partial bin k, and one of
+    its entry a_k, down to adjacent floats, the sign change of the derivative
+    of log mu_s in a_k. That a_k lies within 1e-13 relative of the exact root,
+    or within 1e-15 b/p_k^1 where bin k holds a small share of s0 and b, whose
+    rounding resolves a_k only to about ulp(s0)/p_k^0 and ulp(b)/p_k^1
     (tests/test_exact.py). The reported objective is the plain rates formula
-    evaluated at the policy, and `iterations` counts derivative evaluations.
+    evaluated at the policy, and `iterations` counts derivative sign tests.
     """
     return _frontier_optimum(cfg, sensing, Scheme.FEEDBACK)
 
@@ -164,9 +162,9 @@ def solve_nofb(cfg: NetworkConfig, sensing: SensingConfig) -> OptResult:
     """Optimize the no-feedback policy along the greedy prefix frontier.
 
     The objective pi_0(s1) * (1-P_sd) * s0 (1-s0)^(M_s-1) is log-concave
-    in the s1 budget b along the greedy prefix frontier. The same bisection
-    as `solve_feedback`'s finds the sign change of its derivative, with the
-    same bound against the exact root.
+    in the s1 budget b along the greedy prefix frontier. The same two
+    bisections as `solve_feedback`'s find the sign change of its derivative,
+    with the same bound against the exact root.
     """
     return _frontier_optimum(cfg, sensing, Scheme.NO_FEEDBACK)
 

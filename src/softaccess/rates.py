@@ -109,25 +109,26 @@ def _slope(delta_bar: float, lam: float, scheme: Scheme) -> float:
 def _margin(delta_bar: float, lam: float, k: float, log_w: float) -> float:
     """Stability margin of the primary queue: mu_p - lambda, or chi - lambda with feedback.
 
-    With w = (1-s1)^M_s = exp(log_w), both are (delta_bar - lambda) + k*(w - 1),
-    k = `_slope`, a form without cancellation: delta_bar - lambda is exact near
-    the edge (Sterbenz), and expm1 keeps a small s1 accurate.
+    With w = (1-s1)^M_s = exp(log_w), both are (delta_bar - lambda) + k*(w - 1), k = `_slope`,
+    a form without cancellation for w near 1: delta_bar - lambda is exact near the edge
+    (Sterbenz), and expm1 keeps a small s1 accurate. Below w = 1/e the sum is (delta_bar -
+    lambda - k) + k*w, which keeps a small w accurate: delta_bar*w without feedback at lambda = 0.
     """
+    if log_w < -1.0:
+        return (delta_bar - lam - k) + k * math.exp(log_w)
     return (delta_bar - lam) + k * math.expm1(log_w)
 
 
-def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> tuple[Callable[[float], float], float]:
-    """A scheme's d log pi_0 / d log w as a function of log w, and the log w at which its margin reaches zero.
+def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> Callable[[float], float]:
+    """A scheme's d log pi_0 / d log w as a function of log w.
 
     pi_0 = margin/beta, beta as in `_slope`, and the margin grows by k*w per unit of log w, so the
     slope is k*w/margin with feedback; without it beta = delta_bar*w takes 1 off, leaving
-    lambda/margin. It is inf below the edge: everywhere if the edge is >= 0.
+    lambda/margin. It is inf where the margin is not positive: past the stability edge, and
+    everywhere once lambda >= delta_bar, where it is inf already at log w = 0.
     """
     delta_bar, lam = _delta_bar(cfg), cfg.lambda_p
-    if lam >= delta_bar:  # unstable even with the secondaries silent; delta_bar may be 0
-        return lambda log_w: math.inf, 0.0
     k = _slope(delta_bar, lam, scheme)
-    edge = math.log1p((lam - delta_bar) / k) if k > delta_bar - lam else -math.inf
     beta_has_w = scheme is not Scheme.FEEDBACK
 
     def slope(log_w: float) -> float:
@@ -135,7 +136,7 @@ def _queue_law(cfg: NetworkConfig, scheme: Scheme) -> tuple[Callable[[float], fl
         if margin <= 0.0:
             return math.inf
         return (lam if beta_has_w else k * math.exp(log_w)) / margin
-    return slope, edge
+    return slope
 
 
 def _log_w(s: float, M: int) -> float:

@@ -216,20 +216,27 @@ def test_optima_are_the_exact_roots_of_the_first_order_condition(networks):
                                      (Scheme.NO_FEEDBACK, solve_nofb, sensing),
                                      (Scheme.NO_FEEDBACK, baseline_hard_decision,
                                       hard_decision_sensing(sensing))):
-            a = solver(cfg, sensing).policy.a
+            res = solver(cfg, sensing)
+            a = res.policy.a
             k = a.count(1.0)
             if k == len(a) or a[k] == 0.0:  # end of the frontier, or the edge of bin k
                 assert first_order_condition(cfg, sens, scheme, k - 1)(Fraction(1)) > 0, cfg
                 if k < len(a):
                     assert first_order_condition(cfg, sens, scheme, k)(Fraction(0)) <= 0, cfg
+                # a bisection over the bins and, at an edge, one sign test of bin k
+                assert res.iterations <= len(a).bit_length() + 1, cfg
                 continue
+            # g(0) > 0 >= g(1): the exact root lies in bin k, so the bisection below ends
             g = first_order_condition(cfg, sens, scheme, k)
+            assert g(Fraction(1)) <= 0, cfg
+            assert k == 0 or g(Fraction(0)) > 0, cfg
             lo, hi = Fraction(0), Fraction(1)
             while hi - lo > hi / 2 ** 64:
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
-            # the float budget b resolves a_k only to about ulp(b)/p_k^1, which
-            # exceeds 1e-13 a_k where bin k holds a small share of b
+            # s0 = prefix0[k] + a p_k^0 and b are rounded, so they resolve a_k only to
+            # about ulp(s0)/p_k^0 and ulp(b)/p_k^1, which exceed 1e-13 a_k where bin k
+            # holds a small share of s0 and b
             p1 = [Fraction(p) for p in sens.p1()]
             budget = sum(p1[:k]) + lo * p1[k]
             err = abs(Fraction(a[k]) - lo)

@@ -21,6 +21,7 @@ from softaccess import (
     evaluate,
     grid_search,
     hard_decision_sensing,
+    joint_access_probability,
     pi0,
     primary_outage,
     secondary_outage,
@@ -498,7 +499,7 @@ class TestDegenerateDetectors:
         sensing = default_sensing(cfg, n=1, idle_tail=0.9999999999999998)
         assert sensing.p1()[0] == 0.0 and sensing.p0()[0] > 0.0
         res = solver(cfg, sensing)
-        assert res.feasible and res.iterations == 0
+        assert res.feasible and res.iterations == 1  # the one bin rises when full
         assert res.policy.a == (1.0,)
         assert res.objective > 0.0
 
@@ -511,10 +512,39 @@ class TestDegenerateDetectors:
         assert not sensing.p1().any() and sensing.p0().sum() > 1.0 / cfg.M_s
         res = solver(cfg, sensing)
         detector = hard_decision_sensing(sensing) if solver is baseline_hard_decision else sensing
-        assert res.feasible and res.iterations == 0
+        assert res.feasible
         assert float(np.dot(res.policy.a, detector.p0())) == pytest.approx(1.0 / cfg.M_s, rel=1e-15)
         # with no busy mass, access never disturbs the primary: the genie's throughput
         assert res.objective == pytest.approx(baseline_genie(cfg).objective, rel=1e-15)
+
+    @pytest.mark.parametrize("solver", [solve_feedback, solve_nofb, baseline_hard_decision])
+    def test_bins_without_idle_or_busy_mass(self, solver):
+        # idle_tail an ulp below 1 rounds every busy mass and all idle mass
+        # but one bin's to 0, the first bin's included: bins of no mass cost
+        # nothing, so the search must pass them to reach the idle mass
+        cfg = NetworkConfig(M_s=1)
+        sensing = default_sensing(cfg, n=6, idle_tail=0.9999999999999999)
+        p0 = sensing.p0()
+        assert not sensing.p1().any() and p0[0] == 0.0 and np.count_nonzero(p0) == 1
+        res = solver(cfg, sensing)
+        assert res.feasible and set(res.policy.a) == {1.0}
+        # with no busy mass, the genie's throughput at s0 = p0.sum() instead of 1
+        assert res.objective == pytest.approx(baseline_genie(cfg).objective * p0.sum(), rel=1e-15)
+
+    @SOFT_SOLVERS
+    def test_bins_without_mass_past_the_last_with_mass(self, scheme, solver):
+        # bins of width eta/(2 n sigma1^2) = 1: both masses underflow to 0
+        # past bin 746, more than half of the 2,000 bins, and the running sum
+        # of the busy mass stays below 1, so those bins read as free; the search must
+        # not run into them, and the optimum is that of the first 746 bins
+        cfg = NetworkConfig(M_s=1, lambda_p=0.1)
+        sensing = SensingConfig(eta=40_000.0, n=2_000, sigma0_sq=1.0, sigma1_sq=10.0)
+        head = SensingConfig(eta=20.0 * 746, n=746, sigma0_sq=1.0, sigma1_sq=10.0)
+        assert not (sensing.p0()[746:].any() or sensing.p1()[746:].any()) and sensing.p1()[745] > 0.0
+        assert np.array_equal(sensing.p1()[:746], head.p1()) and sum(head.p1().tolist()) < 1.0
+        res, ref = solver(cfg, sensing), solver(cfg, head)
+        assert res.feasible and res.policy.a[:746] == ref.policy.a
+        assert res.objective == ref.objective
 
     @SOFT_SOLVERS
     def test_idle_access_reaching_one_at_one_secondary(self, scheme, solver):
@@ -526,6 +556,36 @@ class TestDegenerateDetectors:
         res = solver(cfg, sensing)
         assert res.feasible and res.policy.a == (1.0, 1.0)
         assert res.objective == pytest.approx(dense_frontier_max(cfg, sensing, scheme), rel=1e-12)
+
+    @pytest.mark.parametrize("solver", [solve_feedback, solve_nofb, baseline_hard_decision])
+    def test_budget_rounding_to_one(self, solver):
+        # the busy mass of bin 1 rounds to 1, so 1-b reaches 0 inside the
+        # frontier, where log1p(-b) would raise and mu_p = 0; with no load the
+        # queue stays empty short of that, so every scheme reaches the genie
+        # with s0 = 1, and none may beat it
+        cfg = NetworkConfig(M_s=1, lambda_p=0.0)
+        sensing = SensingConfig(eta=2000.0, n=4, sigma0_sq=1.0, sigma1_sq=2.0)
+        assert sensing.p1()[0] == 1.0 and sensing.p0()[0] == 1.0
+        genie = baseline_genie(cfg).objective
+        res = solver(cfg, sensing)
+        assert res.feasible and res.policy.a[0] < 1.0
+        assert res.objective == pytest.approx(genie, rel=1e-12)
+        assert res.objective <= genie
+
+    @pytest.mark.parametrize("solver", [solve_feedback, solve_nofb, baseline_hard_decision])
+    def test_busy_mass_summing_to_one_in_another_order(self, solver):
+        # the 100 busy masses sum to 1 - e^-50: their running sum stays below
+        # 1, but the dot product of `_throughput` rounds s1 to 1 with every bin
+        # full, which leaves mu_p = 0; with no load every scheme reaches the genie
+        cfg = NetworkConfig(M_s=1, lambda_p=0.0)
+        sensing = SensingConfig(eta=200.0, n=100, sigma0_sq=1.0, sigma1_sq=2.0)
+        full = AccessPolicy((1.0,) * 100, Scheme.NO_FEEDBACK)
+        assert sum(sensing.p1().tolist()) < 1.0 == joint_access_probability(full, sensing.p1())
+        genie = baseline_genie(cfg).objective
+        res = solver(cfg, sensing)
+        assert res.feasible
+        assert res.objective == pytest.approx(genie, rel=1e-12)
+        assert res.objective <= genie
 
 
 class TestSchemeOrdering:

@@ -124,6 +124,17 @@ class TestPi0:
         assert pi0(cfg, ref_sensing, pol, Scheme.FEEDBACK) == pytest.approx(1.0)
         assert pi0(cfg, ref_sensing, pol, Scheme.NO_FEEDBACK) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("busy_left", [1e-6, 1e-12, 2.0 ** -53])
+    def test_no_arrivals_means_idle_at_a_small_w(self, busy_left):
+        # busy mass 1 and access 1 - busy_left leave w = busy_left: mu_p is
+        # small, yet with no arrivals the queue stays empty
+        cfg = NetworkConfig(M_s=1, lambda_p=0.0)
+        sensing = SensingConfig(eta=2000.0, n=1, sigma0_sq=1.0, sigma1_sq=2.0)
+        assert sensing.p1()[0] == 1.0
+        pol = AccessPolicy((1.0 - busy_left,))
+        assert pi0(cfg, sensing, pol, Scheme.NO_FEEDBACK) == 1.0
+        assert pi0(cfg, sensing, pol, Scheme.FEEDBACK) == 1.0
+
     def test_silent_reference(self, ref_cfg, ref_sensing):
         got = pi0(ref_cfg, ref_sensing, SILENT, Scheme.FEEDBACK)
         assert got == pytest.approx(PI0_FB_SILENT, rel=1e-12)
