@@ -16,7 +16,9 @@ records, each under its own key:
   near 0, near 1 or uniform): repr of `evaluate` for all four schemes,
   plus `grid_search` (both soft schemes) where n <= 3;
 - the `run` and `run_traced` reports and the sha256 of the trace bytes
-  for fb, nofb, genie, hard and round-robin;
+  for fb, nofb, genie, hard and round-robin, and for fb on a stressed
+  network (one primary whose busy slots the secondaries nearly always
+  disturb) at 20,000 slots;
 - the sha256 of the `--sim` CSV of each mc_validate invocation (fb and
   nofb apart) at seeds 1-3, through perfbench/workloads.py's own
   MCValidate at its FULL sizes;
@@ -141,19 +143,26 @@ def capture(sa, workdir: Path) -> dict:
         "round_robin": sa.SimConfig(slots=3000, warmup=300, replications=3, seed=15,
                                     round_robin=True, scheme=sa.Scheme.FEEDBACK),
     }
-    for label, sim in cases.items():
-        scheme = sim.scheme or sa.Scheme(label)
-        point = sa.optimize.evaluate(cfg, sensing, scheme)
-        policy = point.result.policy
-        put(f"run/{label}", lambda: repr(sa.run(cfg, point.sensing, policy, sim)))
-        one = replace(sim, replications=1, slots=2000, warmup=200)
+    def simulated(label, cfg, sensing, policy, sim, one):
+        put(f"run/{label}", lambda: repr(sa.run(cfg, sensing, policy, sim)))
 
         def traced_run():
-            report, trace = sa.run_traced(cfg, point.sensing, policy, one)
+            report, trace = sa.run_traced(cfg, sensing, policy, one)
             record[f"run_traced/{label}/trace"] = sha(trace.tobytes())
             return repr(report)
 
         put(f"run_traced/{label}", traced_run)
+
+    for label, sim in cases.items():
+        point = sa.optimize.evaluate(cfg, sensing, sim.scheme or sa.Scheme(label))
+        simulated(label, cfg, point.sensing, point.result.policy, sim,
+                  replace(sim, replications=1, slots=2000, warmup=200))
+    # tests/test_simulate.py's rare_first_ok network, whose feedback
+    # departures take the most fixpoint passes
+    cfg = sa.NetworkConfig(M_p=1, M_s=5, r_ps=300.0, lambda_p=0.45)
+    sim = sa.SimConfig(slots=20_000, warmup=2_000, replications=2, seed=16)
+    simulated("stressed", cfg, sa.default_sensing(cfg, idle_tail=0.01),
+              sa.AccessPolicy((1.0,) * 4, sa.Scheme.FEEDBACK), sim, replace(sim, replications=1))
 
     # the benchmark's own mc_validate config and CLI calls; workloads.py
     # imports the softaccess already loaded from --src

@@ -30,9 +30,14 @@ the file is kept:
   per bin count, the sum of the seconds.
 - simulator (`simulator`): `run` for each scheme, with the policy
   `optimize.evaluate` gives at the reference network, in the mc_validate
-  shape and in Criterion 1's shape of one 10^6-slot replication. Per
-  scheme: the seconds, microseconds per simulated slot, minor page
-  faults and a sha256 of the report's repr.
+  shape and in Criterion 1's shape of one 10^6-slot replication; and
+  `run` under feedback in the `stressed_*` shapes, on a network whose
+  busy slots the secondaries nearly always disturb (M_p = 1, M_s = 5,
+  r_ps = 300, lambda_p = 0.45, every a_k = 1, idle_tail 0.01), as
+  997 slots x 20 replications, 4,096 x 5 and 262,144 x 1, so each chunk
+  holds 997, 4,096 and 131,072 slots. Per shape and scheme: the seconds,
+  microseconds per simulated slot, minor page faults and a sha256 of the
+  report's repr.
 
 Inputs come from perfbench/workloads.py at its FULL sizes. Every timed
 case runs once untimed, then `repeat` times, and the record keeps the
@@ -68,6 +73,12 @@ LADDER = (0.5, 0.9, 0.95, 0.98, 0.985, 0.99, 0.995, 0.999)
 GRID_SEED = 1  # oracle_check seed of the networks
 # Criterion 1's simulation: (slots, warmup, replications, timed repeats)
 LONG_SHAPE = (1_000_000, 10_000, 1, 3)
+# tests/test_simulate.py's rare_first_ok network, whose feedback departures
+# take the most fixpoint passes, in one chunk per replication of 997 and
+# 4,096 slots and two chunks of 131,072
+STRESSED_NETWORK = dict(M_p=1, M_s=5, r_ps=300.0, lambda_p=0.45)
+STRESSED_SHAPES = {"stressed_997": (997, 0, 20, REPEAT), "stressed_4096": (4_096, 0, 5, REPEAT),
+                   "stressed_131072": (262_144, 0, 1, REPEAT)}
 
 
 def measure(call, repeat: int = REPEAT):
@@ -161,21 +172,27 @@ def optimizer(sa, workloads):
 
 def simulator(sa, workloads):
     full = workloads.FULL
-    shapes = {"mc_validate": (full.mc_slots, full.mc_warmup, full.mc_replications, REPEAT),
-              "long": LONG_SHAPE}
     cfg = sa.NetworkConfig()
     sensing = sa.default_sensing(cfg)
-    points = {name: sa.optimize.evaluate(cfg, sensing, sa.Scheme(name))
-              for name in workloads.SCHEMES}
+    reference = {}
+    for name in workloads.SCHEMES:
+        point = sa.optimize.evaluate(cfg, sensing, sa.Scheme(name))
+        reference[name] = (cfg, point.sensing, point.result.policy)
+    stressed = sa.NetworkConfig(**STRESSED_NETWORK)
+    stressed_fb = {"fb": (stressed, sa.default_sensing(stressed, idle_tail=0.01),
+                          sa.AccessPolicy((1.0,) * 4, sa.Scheme.FEEDBACK))}
+    shapes = {"mc_validate": (reference, full.mc_slots, full.mc_warmup, full.mc_replications,
+                              REPEAT),
+              "long": (reference, *LONG_SHAPE),
+              **{shape: (stressed_fb, *sizes) for shape, sizes in STRESSED_SHAPES.items()}}
     record = {}
-    for shape, (slots, warmup, replications, repeat) in shapes.items():
+    for shape, (cases, slots, warmup, replications, repeat) in shapes.items():
         entry = {"slots": slots, "warmup": warmup, "replications": replications,
                  "repeat": repeat, "schemes": {}}
-        for name, point in points.items():
+        for name, (net, sens, policy) in cases.items():
             sim = sa.SimConfig(slots=slots, warmup=warmup, replications=replications,
                                seed=1, scheme=sa.Scheme(name))
-            medians, report = measure(
-                lambda: sa.run(cfg, point.sensing, point.result.policy, sim), repeat)
+            medians, report = measure(lambda: sa.run(net, sens, policy, sim), repeat)
             entry["schemes"][name] = {
                 "seconds": medians["seconds"],
                 "us_per_slot": medians["seconds"] / (slots * replications) * 1e6,

@@ -344,12 +344,14 @@ def main(argv=None) -> int:
     sim = exp.sim
     if args.sim and sim is None:
         sim = SimConfig()
-    if args.seed is not None and sim is not None:
-        try:
-            sim = replace(sim, seed=args.seed)
+    if args.seed is not None:
+        try:  # refused whether or not the sweep simulates
+            seeded = replace(sim or SimConfig(), seed=args.seed)
         except ValueError as exc:
             print(f"seed: {exc}", file=sys.stderr)
             return 2
+        if sim is not None:
+            sim = seeded
     try:
         exp = replace(exp, sim=sim, output_path=args.out)
     except ValueError as exc:

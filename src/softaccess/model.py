@@ -82,7 +82,9 @@ class NetworkConfig:
         SNR outage threshold, linear scale.
     omega_p : tuple or None
         Slot-ownership probabilities, length M_p, nonnegative, summing
-        to at most 1. None means uniform 1/M_p.
+        to at most 1. None means uniform 1/M_p. Only the simulator reads
+        them: the optimizers and the analytic rates and delays assume
+        each primary owns 1/M_p of the slots.
     """
 
     M_p: int = 4

@@ -8,11 +8,13 @@ feedback loop. Each run draws its random streams in chunks of CHUNK slots
 `_sim_chunk_arrays`, serves every scheme: it takes the secondary decisions
 with whole-array NumPy operations, then each primary's departures over
 its owned slots by the Lindley recursion in array form (`_departures`;
-with feedback, a fixpoint of at most PASSES such passes, which a slot loop
-finishes on the rare chunk where it does not settle), and keeps each
-primary's queue as `pending`, the arrival slots of its waiting packets.
-Every chunk of a run draws into the same buffers. The tests hold the
-step against a plain loop over the same slots, on the same draws.
+with feedback, a causal fixpoint of such passes that reads each owned
+slot's retransmission phase from its owned predecessor by resets and
+flips, one scan per pass, and settles within m + 1 passes for m owned
+slots), and keeps each primary's queue as `pending`, the arrival slots of
+its waiting packets. Every chunk of a run draws into the same buffers.
+The tests hold the step against a plain loop over the same slots, on the
+same draws.
 
 Feedback semantics: a primary that fails (channel outage, secondary
 interference, or simply not owning the slot while backlogged) sits in the
@@ -40,7 +42,6 @@ _log = logging.getLogger(__name__)
 CAP = 1 << 16  # most packets one primary queue may hold; bounds the run's memory
 CHUNK = 1 << 17  # slots per chunk of draws; fewer where CHUNK_BYTES requires it
 CHUNK_BYTES = 1 << 29  # most bytes one chunk's arrays, or run_traced's trace, may take
-PASSES = 6  # most fixpoint passes of one primary's feedback departures per chunk
 
 
 class CapacityError(RuntimeError):
@@ -142,70 +143,61 @@ def _departures(owned, a_q, q0, r0, first_ok, clear, feedback):
     sum O plus min(0, running minimum of at - O) (Lindley 1952; Asmussen,
     Applied Probability and Queues, ch. III). Without feedback o is
     `first_ok`. With feedback a backlogged owner is served on `first_ok` in
-    the first-transmission phase and on `clear` in retransmission, and the
-    phase at owned slot j is first exactly where the previous slot was
-    owned and served, or the queue was empty at the previous slot's start.
+    the first-transmission phase and on `clear` in retransmission, so
+    o = first_ok | clear & R, where R(j) is the retransmission phase at j.
 
-    So one pass maps guessed phases to o, o to D by the form above, and D
-    back to phases. The phase it gives at j reads only the guesses before
-    j: where its output agrees with its guess on a prefix, that prefix is
-    exact, and so is the first entry where they differ. Passes start from
-    "all first" and stop when output and guess agree (2 to 5 passes, most
-    often 3, on the reference network). After PASSES passes without that,
-    the slot loop `_served` takes the owned slots from the first differing
-    entry on, starting from the exact prefix's departures and last served
-    slot.
+    R is set by the slot before j. Where that slot is not owned, R(j) is
+    whether the queue held a packet at its start (r0 at slot 0 of the
+    chunk). Where it is owned slot j-1, R(j) is 0 if j-1 was empty or
+    `first_ok` (the owner was served in either phase), 1 if j-1 was
+    backlogged and not `clear` (served in neither), and not R(j-1) if it
+    was backlogged, `clear` and not `first_ok` (served in retransmission
+    only). So given D, R is the last reset's value flipped once per owned
+    slot since, and one running maximum over the keys 2j + (reset value
+    xor j's parity), with flips keyed below every reset, gives it all.
+
+    One pass maps o to D by the form above, and D back to o. The pass that
+    maps D to the next D is causal: its D(j+1) reads D(0..j) only. D(0) = 0
+    is exact, so each pass makes at least one more entry exact, and passes
+    that start from "all first" (o = `first_ok`) and stop when o repeats
+    end within m + 1 passes for m owned slots.
     """
     at = q0 + np.cumsum(a_q)[owned] - a_q[owned]
+    fo = first_ok[owned]
     if not feedback:
-        return owned[np.diff(_lindley(at, first_ok[owned]), prepend=0) > 0]
-    # the opportunities as integers, which np.where and np.cumsum take without a cast
-    fo, cl = first_ok[owned].astype(np.int64), clear[owned].astype(np.int64)
-    prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
+        return owned[np.diff(_lindley(at, fo), prepend=0) > 0]
+    cl = clear[owned]
+    j = np.arange(owned.size)
     after = np.zeros(owned.size, dtype=bool)  # owned slot j directly follows owned slot j-1
     after[1:] = np.diff(owned) == 1
-    first = np.ones(owned.size, dtype=bool)
+    # the queue held a packet at the start of the slot before owned slot j where
+    # prev(j) > D(k(j)), k = j - 1 if that slot is owned slot j - 1 and j otherwise
+    prev = at - a_q[owned - 1]  # wraps at slot 0, which reads r0 instead
+    k = j - after
+    # R's key at j where no packet was held: a reset to 0 (key ^ 1 resets to 1);
+    # where one was: a reset to 1, but where that slot is owned slot j - 1 and
+    # clear, a reset to 0 after first_ok and a flip after clear only
+    key_empty = 2 * j + (j & 1)
+    key_held = key_empty ^ 1
+    np.copyto(key_held[1:], np.where(fo[:-1], key_empty[1:], -1), where=after[1:] & cl[:-1])
+    if owned.size and owned[0] == 0:  # slot 0 of the chunk takes the phase carried in
+        key_empty[0] = key_held[0] = r0
     D = np.zeros(owned.size + 1, dtype=np.int64)
-    for _ in range(PASSES):
-        D[1:] = _lindley(at, np.where(first, fo, cl))
-        served = D[1:] > D[:-1]
-        phase = prev == D[:-1]
-        phase[1:] |= after[1:] & served[:-1]
-        if owned.size and owned[0] == 0:
-            phase[0] = not r0
-        changed = np.flatnonzero(phase != first)
-        if changed.size == 0:
-            return owned[served]
-        first = phase
-    j = int(changed[0])
-    head = owned[:j][served[:j]]
-    tail = _served(owned[j:], at[j:], prev[j:], fo[j:], cl[j:], r0, int(D[j]),
-                   int(head[-1]) if head.size else -2)
-    return np.concatenate((head, np.array(tail, dtype=np.int64)))
+    o = fo
+    while True:
+        D[1:] = _lindley(at, o)
+        key = np.where(prev > D[k], key_held, key_empty)
+        # R(j) is the low bit of (running maximum of key)(j) ^ j, read where clear
+        o_next = fo | (np.maximum.accumulate(key) ^ j) & cl
+        if np.array_equal(o_next, o):
+            return owned[D[1:] > D[:-1]]
+        o = o_next
 
 
 def _lindley(at, o):
     """D(1..m) from D(0) = 0 by D(j+1) = min(D(j) + o(j), at(j))."""
     O = np.cumsum(o)
     return O + np.minimum(np.minimum.accumulate(at - O), 0)
-
-
-def _served(owned, at, prev, first_ok, clear, r0, nd, last):
-    """The feedback departures slot by slot, after nd departures with the last in slot `last`."""
-    served = []
-    for i, k, k_prev, f_ok, c_ok in zip(owned.tolist(), at.tolist(), prev.tolist(),
-                                        first_ok.tolist(), clear.tolist()):
-        if k == nd:  # empty at slot start
-            continue
-        if i == 0:
-            first = not r0
-        else:
-            first = last == i - 1 or k_prev == nd
-        if f_ok if first else c_ok:
-            served.append(i)
-            nd += 1
-            last = i
-    return served
 
 
 # stats slots: 0 su_success, 1 mu_p_den, 2 mu_p_num, 3 pi0_cnt,

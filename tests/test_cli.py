@@ -417,6 +417,8 @@ EXIT_TWO = {
     # the gnuplot script goes to the CSV's path with a .gp suffix
     "gp-out": ("sweep", POINT, ["--out", "{tmp}/x.gp"], {}, "output: "),
     "negative-seed": ("sweep", POINT, ["--sim", "--seed", "-1"], {}, "seed: "),
+    # refused without simulation too, where the seed would go unused
+    "negative-seed-no-sim": ("sweep", POINT, ["--seed", "-1"], {}, "seed: "),
     "capacity-error": ("sweep", POINT, [], {(cli, "run_sweep"): failing_sweep(QUEUE)},
                        f"sweep: CapacityError: {QUEUE}\n"),
     "cap-fb": ("sweep", NEAR_EDGE, ["--sim", "--schemes", "fb"], {(simulate, "CAP"): 8},
